@@ -224,24 +224,32 @@ def _sweep_gls_stability(args) -> int:
 
     count = args.limit if args.limit is not None else 1000
     bad = 0
+    # how each gls_check call was decided; "rank" counts the calls whose
+    # search found no strong matching within its budget
+    by_method = {"strong-matching": 0, "rank": 0, "certificate": 0}
+
+    def gls(m) -> bool:
+        value, report = C.gls_check(m, trials=args.trials, seed=args.seed)
+        by_method[report.method] += 1
+        return value
+
     for i in range(count):
         rng = random.Random((args.seed << 32) + i)
         m = M.random_multisegment(rng, max_segments=6)
-        base, _ = C.gls_check(m, trials=args.trials, seed=args.seed)
+        base = gls(m)
         for other in (M.involution(m), M.dual(m)):
-            got, _ = C.gls_check(other, trials=args.trials, seed=args.seed)
-            if got != base:
+            if gls(other) != base:
                 bad += 1
                 _print(f"VIOLATION (transform) at instance {i}: {m}")
         if base:
             for c in set(m.supp):
                 for fn in (M.left_derivative, M.right_derivative):
                     res = fn(m, c)
-                    if res is not None and not C.gls_check(res[0], trials=args.trials, seed=args.seed)[0]:
+                    if res is not None and not gls(res[0]):
                         bad += 1
                         _print(f"VIOLATION (derivative at {c}) at instance {i}: {m}")
     _print(
-        {"sweep": "gls-stability", "instances": count, "violations": bad}
+        {"sweep": "gls-stability", "instances": count, "violations": bad, "by_method": by_method}
         if args.json
         else f"{count} instances, {bad} violations"
     )

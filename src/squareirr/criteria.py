@@ -39,6 +39,7 @@ from .multiseg import (
 from .perm import Perm
 
 GLS_PRIME = 2**31 - 1
+STRONG_MATCHING_BUDGET = 20_000  # backtracking steps of find_strong_matching
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +171,15 @@ def neighbor_map(m: Multisegment) -> dict[tuple[int, int], list[tuple[int, int]]
     return rel_adjacency(m, m, X, Xt)
 
 
-def irreducible_pairs(m: Multisegment) -> list[tuple[int, int]]:
-    """Link pairs whose only neighbours are the two diagonal ones."""
+def irreducible_pairs(m: Multisegment, adj: Optional[dict] = None) -> list[tuple[int, int]]:
+    """
+    Link pairs whose only neighbours are the two diagonal ones.  ``adj`` is
+    the neighbour map of m when the caller has already built it.
+    """
+    if adj is None:
+        adj = neighbor_map(m)
     out = []
-    for (i, j), nbrs in neighbor_map(m).items():
+    for (i, j), nbrs in adj.items():
         if set(nbrs) == {(i, i), (j, j)}:
             out.append((i, j))
     return sorted(out)
@@ -190,51 +196,56 @@ def _edge_label(m: Multisegment, x: tuple[int, int], y: tuple[int, int]) -> Opti
     return None
 
 
-def _matching_is_strong(m: Multisegment, f: dict, labels: dict) -> bool:
+def _matching_is_strong(f: dict, by_first: list, by_second: list) -> bool:
     """
     A matching is strong when some enumeration r_1..r_n of the link set has
     no earlier r_i neighbouring a later f(r_j) through a used label; this
     holds iff the forced comes-after digraph is acyclic.
+
+    Its edges r' -> r (r must come after r') are read off the used labels:
+    r has to share a row or a column with t = f(r'), and the label of r -> t
+    is then (t_j, r_j) for a shared row and (r_i, t_i) for a shared column.
+    So the successors of r' are (t_i, b) for every used label (t_j, b),
+    listed in ``by_first[t_j]``, and (a, t_j) for every used label (a, t_i),
+    listed in ``by_second[t_i]`` -- those in the domain of f, other than r'.
     """
-    used_labels = {labels[(x, f[x])] for x in f}
-    X = list(f)
-    after: dict = {x: [] for x in X}  # edge r' -> r: r must come after r'
-    for rp in X:
-        target = f[rp]
-        for r in X:
-            if r == rp:
-                continue
-            lab = _edge_label(m, r, target)
-            if lab is not None and lab in used_labels:
-                after[rp].append(r)
-    # cycle detection
     state: dict = {}
 
     def dfs(u) -> bool:
         state[u] = 1
-        for v in after[u]:
-            s = state.get(v)
+        ti, tj = f[u]
+        for r in [(ti, b) for b in by_first[tj]] + [(a, tj) for a in by_second[ti]]:
+            if r == u or r not in f:
+                continue
+            s = state.get(r)
             if s == 1:
                 return False
-            if s is None and not dfs(v):
+            if s is None and not dfs(r):
                 return False
         state[u] = 2
         return True
 
-    return all(state.get(u) == 2 or dfs(u) for u in X)
+    return all(state.get(u) == 2 or dfs(u) for u in f)
 
 
-def find_strong_matching(m: Multisegment, budget: int = 20000) -> Optional[dict]:
+def find_strong_matching(
+    m: Multisegment, budget: int = STRONG_MATCHING_BUDGET, adj: Optional[dict] = None
+) -> Optional[dict]:
     """
     Bounded backtracking search for a strong neighbour-respecting injection;
-    None if none is found within the budget (which proves nothing).
+    None if none is found within the budget (which proves nothing).  ``adj``
+    is the neighbour map of m when the caller has already built it.
     """
-    adj = neighbor_map(m)
+    if adj is None:
+        adj = neighbor_map(m)
     X = sorted(adj, key=lambda x: (len(adj[x]), x))
     labels = {}
     for x, nbrs in adj.items():
         for y in nbrs:
             labels[(x, y)] = _edge_label(m, x, y)
+    # the used labels, indexed by first and by second coordinate
+    by_first: list[list[int]] = [[] for _ in range(len(m) + 1)]
+    by_second: list[list[int]] = [[] for _ in range(len(m) + 1)]
     used: set = set()
     assign: dict = {}
     steps = 0
@@ -242,7 +253,7 @@ def find_strong_matching(m: Multisegment, budget: int = 20000) -> Optional[dict]
     def backtrack(pos: int) -> Optional[dict]:
         nonlocal steps
         if pos == len(X):
-            return dict(assign) if _matching_is_strong(m, assign, labels) else None
+            return dict(assign) if _matching_is_strong(assign, by_first, by_second) else None
         x = X[pos]
         for y in adj[x]:
             if y in used:
@@ -250,13 +261,18 @@ def find_strong_matching(m: Multisegment, budget: int = 20000) -> Optional[dict]
             steps += 1
             if steps > budget:
                 return None
+            a, b = labels[(x, y)]
             used.add(y)
             assign[x] = y
+            by_first[a].append(b)
+            by_second[b].append(a)
             got = backtrack(pos + 1)
             if got is not None:
                 return got
             used.discard(y)
             del assign[x]
+            by_first[a].pop()
+            by_second[b].pop()
         return None
 
     if any(not nbrs for nbrs in adj.values()):
@@ -324,12 +340,12 @@ def gls_check(m: Multisegment, trials: int = 3, seed: int = 0) -> tuple[bool, Gl
             "certificate",
             certificate=f"no neighbour-respecting matching ({size} < {len(X)})",
         )
-    irr = irreducible_pairs(m)
+    irr = irreducible_pairs(m, adj=adj)
     if len(irr) >= k:
         return False, GlsReport(
             False, "certificate", certificate=f"{len(irr)} irreducible pairs >= {k}"
         )
-    strong = find_strong_matching(m)
+    strong = find_strong_matching(m, adj=adj)
     if strong is not None:
         return True, GlsReport(True, "strong-matching")
     rng = random.Random(seed)

@@ -124,6 +124,14 @@ def test_sweep_gls_stability(capsys):
     assert json.loads(out.strip().splitlines()[-1])["violations"] == 0
 
 
+def test_sweep_gls_stability_counts_methods(capsys):
+    code, out, _ = run(capsys, "sweep", "gls-stability", "--limit", "10", "--json")
+    by_method = json.loads(out.strip().splitlines()[-1])["by_method"]
+    assert code == 0
+    assert set(by_method) == {"strong-matching", "rank", "certificate"}
+    assert sum(by_method.values()) >= 3 * 10  # each instance, its transpose and its dual
+
+
 def test_sweep_minimal_unbalanced(capsys):
     code, out, _ = run(capsys, "sweep", "minimal-unbalanced", "--k", "4", "--json")
     assert code == 0

@@ -187,6 +187,80 @@ def test_gls_invariance_mini_sweep():
                     assert C.gls_check(res[0])[0]
 
 
+def _strong_by_all_pairs(m, f, labels):
+    """The leaf rule by definition: label every ordered pair, then look for a cycle."""
+    used_labels = {labels[(x, f[x])] for x in f}
+    after = {x: [] for x in f}
+    for rp in f:
+        for r in f:
+            if r != rp and C._edge_label(m, r, f[rp]) in used_labels:
+                after[rp].append(r)
+    state = {}
+
+    def dfs(u):
+        state[u] = 1
+        for v in after[u]:
+            if state.get(v) == 1 or (v not in state and not dfs(v)):
+                return False
+        state[u] = 2
+        return True
+
+    return all(state.get(u) == 2 or dfs(u) for u in f)
+
+
+def _injections(adj):
+    """Every complete neighbour-respecting injection of the link set."""
+    X = sorted(adj)
+    f, used = {}, set()
+
+    def rec(pos):
+        if pos == len(X):
+            yield dict(f)
+            return
+        for y in adj[X[pos]]:
+            if y not in used:
+                f[X[pos]] = y
+                used.add(y)
+                yield from rec(pos + 1)
+                del f[X[pos]]
+                used.discard(y)
+
+    yield from rec(0)
+
+
+def test_strong_check_by_label_index_matches_all_pairs():
+    rng = random.Random(1)
+    outcomes = {True: 0, False: 0}
+    instances = 0
+    while instances < 20:
+        m = M.random_multisegment(rng, max_segments=6)
+        adj = C.neighbor_map(m)
+        if not 0 < len(adj) <= 8:
+            continue
+        instances += 1
+        labels = {(x, y): C._edge_label(m, x, y) for x in adj for y in adj[x]}
+        for f in _injections(adj):
+            by_first = [[] for _ in range(len(m) + 1)]
+            by_second = [[] for _ in range(len(m) + 1)]
+            for x, y in f.items():
+                a, b = labels[(x, y)]
+                by_first[a].append(b)
+                by_second[b].append(a)
+            got = C._matching_is_strong(f, by_first, by_second)
+            assert got == _strong_by_all_pairs(m, f, labels), (m, f)
+            outcomes[got] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def test_gls_strong_matching_budget():
+    # the search uses up its budget, so the rank test proves the condition
+    m = parse("[5,6]+[5]+[4,5]+[4]+[4]+[4]+[3,4]+[3]+[3]+[3]+[3]+[2,3]+[2]+[2]+[2]+[1,2]+[1]+[1]+[0]+[0]")
+    ok, rep = C.gls_check(m)
+    assert (ok, rep.method) == (True, "rank") and rep.rank_achieved == 66
+    ok, rep = C.gls_check(parse("[12]+[10,11]+[9,10]+[6,9]+[8]+[8]+[5,8]+[7]+[7]+[6]+[6]+[4,6]+[5]+[3,5]+[2,3]+[1]"))
+    assert (ok, rep.method) == (True, "strong-matching")
+
+
 # ---------------------------------------------------------------------------
 # the combined verdict
 
