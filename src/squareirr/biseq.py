@@ -81,20 +81,26 @@ def sigma0(A: BiSequence) -> Perm:
     The minimal permutation admissible for A: built value by value from the
     top, sending each i to the largest unused index j with a_j <= b_i + 1.
     The result is 213-avoiding.
+
+    As i falls, b_i + 1 grows and the admissible j form a growing prefix
+    (the rows are monotone), so the largest unused one is the top of a
+    stack that takes each index in increasing order as it becomes
+    admissible.
     """
     k = A.k
-    used = [False] * (k + 1)
-    inv = [0] * k
+    a, b = A.a, A.b
+    out = [0] * k
+    stack = []
+    j = 0
     for i in range(k, 0, -1):
-        j = max(
-            (j for j in range(1, k + 1) if not used[j] and A.a[j - 1] <= A.b[i - 1] + 1),
-            default=None,
-        )
-        if j is None:
+        bound = b[i - 1] + 1
+        while j < k and a[j] <= bound:
+            j += 1
+            stack.append(j)
+        if not stack:
             raise ValueError(f"invalid bi-sequence {A}")
-        inv[i - 1] = j
-        used[j] = True
-    return P.inverse(tuple(inv))
+        out[stack.pop() - 1] = i
+    return tuple(out)
 
 
 def multisegment_of(A: BiSequence, sigma: Perm) -> Optional[Multisegment]:

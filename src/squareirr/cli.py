@@ -45,10 +45,6 @@ def _cmd_decide(args) -> int:
     return 0
 
 
-def _cmd_criteria(args) -> int:
-    return _cmd_decide(args)
-
-
 def _cmd_involution(args) -> int:
     m = M.parse_multisegment(args.multisegment)
     res = M.involution(m)
@@ -158,7 +154,8 @@ def _equivalence_worker(payload):
     m = B.multisegment_of(A, sigma)
     v = C.decide_square_irreducible(m, trials=trials, seed=seed)
     rank_only = v.gls.value and v.gls.method == "rank"
-    return idx, str(A), sigma, v.agree, bool(v.square_irreducible), rank_only
+    values = (v.balanced, v.pattern_free, v.kl_one, v.gls.value)
+    return idx, str(A), sigma, v.agree, values, rank_only
 
 
 def _sweep_equivalence(args) -> int:
@@ -179,10 +176,14 @@ def _sweep_equivalence(args) -> int:
                 print(f"... {i + 1}/{len(payloads)}", file=sys.stderr)
     results.sort(key=lambda r: r[0])
     rank_only = []
-    for idx, a_str, sigma, agree, verdict, ro in results:
+    for idx, a_str, sigma, agree, values, ro in results:
         if not agree:
             bad += 1
-            _print(f"DISAGREE at instance {idx}: {a_str} sigma={P.format_perm(sigma)}")
+            bal, pat, klv, gls = values
+            _print(
+                f"DISAGREE at instance {idx}: {a_str} sigma={P.format_perm(sigma)} "
+                f"balanced={bal} pattern_free={pat} kl_one={klv} gls={gls}"
+            )
         if ro:
             # open experimental question: rank succeeded, no strong matching
             # found within the search budget
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("criteria", help="report the individual criteria")
     p.add_argument("multisegment")
     common(p)
-    p.set_defaults(func=_cmd_criteria)
+    p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("involution", help="the multisegment transpose")
     p.add_argument("multisegment")

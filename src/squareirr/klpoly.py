@@ -60,10 +60,6 @@ class KLPolynomial:
         self.coeffs = tuple(cs)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
@@ -592,24 +588,43 @@ def save_cache(path: str) -> int:
     return records
 
 
+def _read_exact(fh, size: int) -> bytes:
+    got = fh.read(size)
+    if len(got) != size:
+        raise ValueError("truncated KL cache file")
+    return got
+
+
 def load_cache(path: str) -> int:
-    """Load a cache written by :func:`save_cache`; returns entries loaded."""
-    records = 0
+    """
+    Load a cache written by :func:`save_cache`; returns entries loaded.
+
+    Installs nothing unless the whole file decodes: a short read, or a
+    stored polynomial whose constant term is not 1 (every column entry is
+    P_{x,w} != 1 for some x <= w), raises ValueError.
+    """
+    columns = []
     with open(path, "rb") as fh:
         if fh.read(4) != _CACHE_MAGIC:
             raise ValueError("not a KL cache file")
-        (version,) = struct.unpack("<H", fh.read(2))
+        (version,) = struct.unpack("<H", _read_exact(fh, 2))
         if version != _CACHE_VERSION:
             raise ValueError(f"unsupported KL cache version {version}")
         while True:
             head = fh.read(9)
             if not head:
                 break
+            if len(head) != 9:
+                raise ValueError("truncated KL cache file")
             n, w, count = struct.unpack("<BII", head)
             col = {}
             for _ in range(count):
-                x, blen = struct.unpack("<IH", fh.read(6))
-                col[x] = int.from_bytes(fh.read(blen), "little")
-            _ctx(n)._cols[w] = col
-            records += 1
-    return records
+                x, blen = struct.unpack("<IH", _read_exact(fh, 6))
+                packed = int.from_bytes(_read_exact(fh, blen), "little")
+                if packed & _MASK != 1:
+                    raise ValueError(f"corrupt KL cache record ({n}, {w}, {x})")
+                col[x] = packed
+            columns.append((n, w, col))
+    for n, w, col in columns:
+        _ctx(n)._cols[w] = col
+    return len(columns)

@@ -42,11 +42,6 @@ def shift_down(d: Segment) -> Segment:
     return Segment(d.a - 1, d.b - 1)
 
 
-def shift_up(d: Segment) -> Segment:
-    """[a+1, b+1]."""
-    return Segment(d.a + 1, d.b + 1)
-
-
 def minus_end(d: Segment) -> Segment:
     """[a, b-1] (may be empty)."""
     return Segment(d.a, d.b - 1)
@@ -55,11 +50,6 @@ def minus_end(d: Segment) -> Segment:
 def minus_begin(d: Segment) -> Segment:
     """[a+1, b] (may be empty)."""
     return Segment(d.a + 1, d.b)
-
-
-def plus_end(d: Segment) -> Segment:
-    """[a, b+1]."""
-    return Segment(d.a, d.b + 1)
 
 
 def plus_begin(d: Segment) -> Segment:
@@ -162,12 +152,6 @@ class Multisegment:
         return all(
             not linked(d1, d2) for d1, d2 in itertools.combinations(self.segments, 2)
         )
-
-    def remove(self, d: Segment) -> "Multisegment":
-        """Drop one copy of segment ``d``."""
-        segs = list(self.segments)
-        segs.remove(Segment(*d))
-        return Multisegment(segs)
 
     def remove_at(self, i: int) -> "Multisegment":
         """Drop the i-th segment (1-based, canonical order)."""

@@ -7,7 +7,14 @@ here keeps state, so everything is safe for parallel use.
 
 Bruhat order is decided through rank matrices: ``r_w(i, j)`` counts the
 entries among the first ``i`` positions whose value is at most ``j``, and
-``x <= w`` holds exactly when ``r_w <= r_x`` entrywise.
+``x <= w`` holds exactly when ``r_w <= r_x`` entrywise.  Both ``bruhat_leq``
+and ``smooth_pair_data`` walk the difference ``D = r_x - r_w`` row by row.
+
+Rectangle rule: swapping positions a < b of x changes ``r_x`` only on rows
+a..b-1 and columns min(x(a), x(b))..max(x(a), x(b))-1, by -1 when
+x(a) < x(b) and by +1 otherwise.  So for x <= w, every swap that lowers x
+stays below w, and a swap that raises x stays below w exactly when D >= 1
+on its rectangle.
 """
 
 from __future__ import annotations
@@ -85,12 +92,23 @@ def rank_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:
 
 
 def bruhat_leq(t: Perm, s: Perm) -> bool:
-    """True iff t <= s in Bruhat order (r_s <= r_t entrywise)."""
+    """
+    True iff t <= s in Bruhat order (r_s <= r_t entrywise).  Keeps one row
+    of r_t - r_s, indexed by value, and stops at the first negative cell.
+    """
     if len(t) != len(s):
         raise ValueError("permutations live in different symmetric groups")
-    rt = rank_matrix(t)
-    rs = rank_matrix(s)
-    return all(rs[i][j] <= rt[i][j] for i in range(len(t)) for j in range(len(t)))
+    d = [0] * (len(t) + 1)
+    for a, b in zip(t, s):
+        if a < b:
+            for j in range(a, b):
+                d[j] += 1
+        elif b < a:
+            for j in range(b, a):
+                d[j] -= 1
+                if d[j] < 0:
+                    return False
+    return True
 
 
 def transpositions(k: int) -> Iterator[tuple[int, int]]:
@@ -117,18 +135,53 @@ def smooth_pair_data(sigma0: Perm, sigma: Perm) -> SmoothPairData:
     ``sigma``: j_count = #{t : sigma0*t <= sigma}, i_count restricts to
     sigma0*t >= sigma0, and the pair is smooth iff j_count == length(sigma).
 
-    Requires sigma0 <= sigma.
+    Requires sigma0 <= sigma.  One pass builds D = r_sigma0 - r_sigma and a
+    2-D prefix count of its zero cells.  By the rectangle rule (module
+    docstring) every swap that lowers sigma0 counts, which gives
+    j_count = length(sigma0) + i_count; a swap of positions a < b with
+    sigma0(a) < sigma0(b) counts iff D has no zero on rows a..b-1 and
+    columns sigma0(a)..sigma0(b)-1.
     """
-    if not bruhat_leq(sigma0, sigma):
-        raise ValueError("smooth_pair_data requires sigma0 <= sigma")
-    j_count = 0
+    k = len(sigma)
+    if len(sigma0) != k:
+        raise ValueError("permutations live in different symmetric groups")
+    # d[j] = D(i, j) on the current row i; row k and column k of D are 0
+    # and lie outside every rectangle
+    d = [0] * (k + 1)
+    # zeros[i][j]: zero cells of D in rows 1..i and columns 1..j
+    above = [0] * k
+    zeros = [above]
+    for a, b in zip(sigma0[:-1], sigma):
+        if a < b:
+            for j in range(a, b):
+                d[j] += 1
+        elif b < a:
+            for j in range(b, a):
+                d[j] -= 1
+                if d[j] < 0:
+                    raise ValueError("smooth_pair_data requires sigma0 <= sigma")
+        row = [0]
+        run = 0
+        for j in range(1, k):
+            if not d[j]:
+                run += 1
+            row.append(above[j] + run)
+        zeros.append(row)
+        above = row
+    down = 0
     i_count = 0
-    for i, j in transpositions(len(sigma)):
-        t = apply_transposition(sigma0, i, j)
-        if bruhat_leq(t, sigma):
-            j_count += 1
-            if sigma0[i - 1] < sigma0[j - 1]:  # sigma0*t > sigma0
-                i_count += 1
+    for p in range(k - 1):
+        lo = sigma0[p] - 1
+        zp = zeros[p]
+        for q in range(p + 1, k):
+            hi = sigma0[q] - 1
+            if hi < lo:
+                down += 1
+            else:
+                zq = zeros[q]
+                if zq[hi] - zq[lo] == zp[hi] - zp[lo]:
+                    i_count += 1
+    j_count = down + i_count
     return SmoothPairData(j_count, i_count, j_count == length(sigma))
 
 

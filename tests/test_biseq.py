@@ -48,6 +48,48 @@ def test_sigma0_examples():
             assert B.sigma0(B.akl(k, l)) == want
 
 
+def _sigma0_by_generator_max(A):
+    """Reference rule: scan every unused index for the largest admissible one."""
+    k = A.k
+    used = [False] * (k + 1)
+    inv = [0] * k
+    for i in range(k, 0, -1):
+        j = max(
+            (j for j in range(1, k + 1) if not used[j] and A.a[j - 1] <= A.b[i - 1] + 1),
+            default=None,
+        )
+        if j is None:
+            raise ValueError(f"invalid bi-sequence {A}")
+        inv[i - 1] = j
+        used[j] = True
+    return P.inverse(tuple(inv))
+
+
+def _sigma0_outcome(fn, A):
+    try:
+        return fn(A)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_sigma0_matches_generator_max_rule():
+    for k in range(1, 8):
+        for A in B.normalized_bisequences(k):
+            assert B.sigma0(A) == _sigma0_by_generator_max(A), A
+    # monotone rows with ties, not checked against a_{k+1-i} <= b_i + 1
+    rng = random.Random(7)
+    invalid = 0
+    for _ in range(3000):
+        k = rng.randint(1, 8)
+        a = tuple(sorted(rng.randint(0, 9) for _ in range(k)))
+        b = tuple(sorted((rng.randint(-1, 8) for _ in range(k)), reverse=True))
+        A = B.BiSequence(a, b)
+        want = _sigma0_outcome(_sigma0_by_generator_max, A)
+        assert _sigma0_outcome(B.sigma0, A) == want, A
+        invalid += isinstance(want, str)
+    assert 0 < invalid < 3000
+
+
 def test_sigma0_is_213_avoiding():
     rng = random.Random(2)
     for _ in range(400):

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from squareirr import cli
+from squareirr import criteria as C
+from squareirr import klpoly as K
 from squareirr.multiseg import parse_multisegment
 
 
@@ -136,3 +139,35 @@ def test_sweep_minimal_unbalanced(capsys):
     code, out, _ = run(capsys, "sweep", "minimal-unbalanced", "--k", "4", "--json")
     assert code == 0
     assert json.loads(out.strip().splitlines()[-1])["mismatches"] == 0
+
+
+def test_kl_truncated_cache_file_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(K, "_contexts", {})
+    cache = tmp_path / "kl.bin"
+    code, out, _ = run(capsys, "kl", "1324", "3412", "--cache-file", str(cache))
+    assert code == 0 and out.strip() == "1 + q"
+    data = cache.read_bytes()
+    # inside the last stored polynomial; inside the first column header
+    for size in (len(data) - 3, 6 + 4):
+        cache.write_bytes(data[:size])
+        code, out, err = run(capsys, "kl", "1324", "3412", "--cache-file", str(cache))
+        assert code == 2 and out == ""
+        assert "truncated KL cache file" in err
+
+
+def test_sweep_equivalence_names_the_dissenting_criterion(capsys, monkeypatch):
+    real = C.decide_square_irreducible
+
+    def dissent(m, trials=3, seed=0):
+        v = real(m, trials=trials, seed=seed)
+        return dataclasses.replace(v, kl_one=not v.kl_one, agree=False)
+
+    monkeypatch.setattr(C, "decide_square_irreducible", dissent)
+    code, out, _ = run(capsys, "sweep", "equivalence", "--k", "2", "--json")
+    lines = out.strip().splitlines()
+    assert code == 1
+    assert json.loads(lines[-1])["disagreements"] == 3
+    disagree = [line for line in lines if line.startswith("DISAGREE")]
+    assert len(disagree) == 3
+    for line in disagree:
+        assert line.endswith("balanced=True pattern_free=True kl_one=False gls=True")

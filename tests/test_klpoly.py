@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import struct
 
 import pytest
 
@@ -125,3 +126,45 @@ def test_cache_roundtrip(tmp_path):
         bad = tmp_path / "bad.cache"
         bad.write_bytes(b"nope")
         K.load_cache(os.fspath(bad))
+
+
+def test_truncated_cache_never_loads_a_different_column(tmp_path, monkeypatch):
+    # a small real cache: only the S_4 columns these two pairs need
+    monkeypatch.setattr(K, "_contexts", {})
+    K.kl_polynomial((1, 3, 2, 4), (3, 4, 1, 2))
+    K.kl_polynomial((1, 2, 4, 3), (4, 2, 3, 1))
+    path = tmp_path / "kl.cache"
+    saved = K.save_cache(os.fspath(path))
+    ctx = K._ctx(4)
+    original = dict(ctx._cols)
+    assert any(original.values())
+    data = path.read_bytes()
+    cut = tmp_path / "cut.cache"
+    outcomes = {"ValueError": 0, "loaded": 0}
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        ctx._cols.clear()
+        try:
+            loaded = K.load_cache(os.fspath(cut))
+        except ValueError:
+            assert not ctx._cols, size
+            outcomes["ValueError"] += 1
+            continue
+        assert loaded < saved
+        for w, col in ctx._cols.items():
+            assert col == original[w], size
+        outcomes["loaded"] += 1
+    assert outcomes["ValueError"] and outcomes["loaded"]
+
+
+def test_cache_record_without_constant_term_one_is_rejected(tmp_path, monkeypatch):
+    monkeypatch.setattr(K, "_contexts", {})
+    w = K._ctx(4).index[(3, 4, 1, 2)]
+    x = K._ctx(4).index[(1, 3, 2, 4)]
+    head = b"SQKL" + struct.pack("<H", 1) + struct.pack("<BII", 4, w, 1)
+    for packed in (b"\x00", b"\x02", b"\x00\x00\x01"):
+        path = tmp_path / "forged.cache"
+        path.write_bytes(head + struct.pack("<IH", x, len(packed)) + packed)
+        with pytest.raises(ValueError, match="corrupt KL cache record"):
+            K.load_cache(os.fspath(path))
+    assert w not in K._ctx(4)._cols

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -250,3 +251,138 @@ def test_inverse_involutive_and_length_preserving():
 def test_ascent_set():
     assert P.ascent_set((4, 2, 3, 1)) == frozenset({2, 4})
     assert P.ascent_set((1, 2, 3)) == frozenset({1, 2, 3})
+
+
+# ---------------------------------------------------------------------------
+# differential checks of the one-pass rank-difference code against the
+# rank-matrix rules it replaced
+
+
+def _rank_matrix_leq(t, s):
+    """Reference Bruhat test: build both tuple rank matrices, compare all cells."""
+    if len(t) != len(s):
+        raise ValueError("permutations live in different symmetric groups")
+    rt = P.rank_matrix(t)
+    rs = P.rank_matrix(s)
+    return all(rs[i][j] <= rt[i][j] for i in range(len(t)) for j in range(len(t)))
+
+
+def _smooth_pair_by_transpositions(sigma0, sigma):
+    """Reference tangent count: one Bruhat test per transposition."""
+    if not _rank_matrix_leq(sigma0, sigma):
+        raise ValueError("smooth_pair_data requires sigma0 <= sigma")
+    j_count = i_count = 0
+    for i, j in P.transpositions(len(sigma)):
+        if _rank_matrix_leq(P.apply_transposition(sigma0, i, j), sigma):
+            j_count += 1
+            if sigma0[i - 1] < sigma0[j - 1]:
+                i_count += 1
+    return P.SmoothPairData(j_count, i_count, j_count == P.length(sigma))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _batched_tangent_counts(lows, highs):
+    """
+    The reference rule vectorized over pairs: (leq, j_count, i_count) per row,
+    with rank matrices from cumulative sums of permutation matrices.
+    """
+    import numpy as np
+
+    lows = np.asarray(lows)
+    k = lows.shape[1]
+    values = np.arange(1, k + 1)
+
+    def ranks(words):
+        return np.cumsum(words[:, :, None] <= values, axis=1, dtype=np.int8)
+
+    r_high = ranks(np.asarray(highs))
+    leq = (ranks(lows) >= r_high).all(axis=(1, 2))
+    j_count = np.zeros(len(lows), dtype=int)
+    i_count = np.zeros(len(lows), dtype=int)
+    for a, b in itertools.combinations(range(k), 2):
+        swapped = lows.copy()
+        swapped[:, [a, b]] = swapped[:, [b, a]]
+        below = (ranks(swapped) >= r_high).all(axis=(1, 2))
+        j_count += below
+        i_count += below & (lows[:, a] < lows[:, b])
+    return leq, j_count, i_count
+
+
+def test_smooth_pair_data_matches_transposition_loop_small():
+    for k in range(1, 6):
+        perms = list(P.all_perms(k))
+        for sigma in perms:
+            for sigma0 in perms:
+                assert _outcome(P.smooth_pair_data, sigma0, sigma) == _outcome(
+                    _smooth_pair_by_transpositions, sigma0, sigma
+                ), (sigma0, sigma)
+    assert _outcome(P.smooth_pair_data, (1, 2), (1, 2, 3)) == _outcome(
+        _smooth_pair_by_transpositions, (1, 2), (1, 2, 3)
+    )
+
+
+def test_smooth_pair_data_matches_transposition_loop_s6():
+    # the reference loop with Bruhat order read off the rank-matrix table
+    import numpy as np
+
+    perms = P.sn(6)
+    index = {w: i for i, w in enumerate(perms)}
+    leq = P.leq_table(6)
+    tmult = np.array([[index[P.apply_transposition(w, i, j)] for w in perms] for i, j in P.transpositions(6)])
+    up = np.array([[w[i - 1] < w[j - 1] for w in perms] for i, j in P.transpositions(6)])
+    refused = ("ValueError", "smooth_pair_data requires sigma0 <= sigma")
+    for si, sigma in enumerate(perms):
+        below = leq[tmult, si]
+        j_count = below.sum(axis=0).tolist()
+        i_count = (below & up).sum(axis=0).tolist()
+        lsigma = P.length(sigma)
+        for xi, sigma0 in enumerate(perms):
+            jc = j_count[xi]
+            want = (jc, i_count[xi], jc == lsigma) if leq[xi, si] else refused
+            assert _outcome(P.smooth_pair_data, sigma0, sigma) == want, (sigma0, sigma)
+
+
+@pytest.mark.parametrize("k", [7, 8, 9])
+def test_smooth_pair_data_matches_transposition_loop_sampled(k):
+    # comparable pairs: random down-swaps from a random sigma
+    rng = random.Random(k)
+    lows, highs = [], []
+    while len(lows) < 3000:
+        sigma = tuple(rng.sample(range(1, k + 1), k))
+        low = list(sigma)
+        for _ in range(rng.randrange(k * (k - 1) // 2)):
+            a, b = sorted(rng.sample(range(k), 2))
+            if low[a] > low[b]:
+                low[a], low[b] = low[b], low[a]
+        lows.append(tuple(low))
+        highs.append(sigma)
+    leq, j_count, i_count = _batched_tangent_counts(lows, highs)
+    assert leq.all()
+    for sigma0, sigma, jc, ic in zip(lows, highs, j_count, i_count):
+        assert P.smooth_pair_data(sigma0, sigma) == (jc, ic, jc == P.length(sigma)), (sigma0, sigma)
+
+
+def test_bruhat_leq_matches_rank_matrices():
+    perms = list(P.all_perms(5))
+    for t in perms:
+        for s in perms:
+            assert P.bruhat_leq(t, s) == _rank_matrix_leq(t, s)
+    rng = random.Random(8)
+    hits = 0
+    for _ in range(4000):
+        t = tuple(rng.sample(range(1, 9), 8))
+        s = list(t)
+        for _ in range(rng.randrange(12)):
+            a, b = rng.sample(range(8), 2)
+            s[a], s[b] = s[b], s[a]
+        s = tuple(s)
+        got = P.bruhat_leq(t, s)
+        assert got == _rank_matrix_leq(t, s), (t, s)
+        hits += got
+    assert 0 < hits < 4000
