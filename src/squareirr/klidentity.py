@@ -194,17 +194,21 @@ def double_coset_leq(M1: CosetMatrix, M2: CosetMatrix) -> bool:
 # bucketing the inflated group
 
 
-_buckets_cache: dict[tuple[int, int], dict] = {}
+_buckets_cache: dict[tuple[int, int], list[tuple[CosetMatrix, int, list[int]]]] = {}
 
 
-def _group_buckets(n: int, m: int):
-    """Map each coset matrix to the indices of its members inside S_n."""
+def _group_buckets(n: int, m: int) -> list[tuple[CosetMatrix, int, list[int]]]:
+    """
+    Every coset matrix M of S_n, sorted, as (M, index of min_rep(M), indices
+    of the members of M's double coset).
+    """
     got = _buckets_cache.get((n, m))
     if got is None:
         ctx = K._ctx(n)
-        got = {}
+        members: dict[CosetMatrix, list[int]] = {}
         for idx, w in enumerate(ctx.perms):
-            got.setdefault(coset_matrix(w, m), []).append(idx)
+            members.setdefault(coset_matrix(w, m), []).append(idx)
+        got = [(M, ctx.index[min_rep(M)], ws) for M, ws in sorted(members.items())]
         _buckets_cache[(n, m)] = got
     return got
 
@@ -297,27 +301,23 @@ def _require_hypotheses(sigma0: Perm, sigma: Perm) -> None:
 
 
 def _coset_sums(sigma0: Perm, sigma: Perm, m: int) -> list[CosetCheck]:
+    # col holds every P_{w,st} != 1 with w <= st, so the leq gate and the
+    # default 1 give P_{w,st} exactly
     k = len(sigma)
     n = m * k
-    st = P.inflate(sigma, m)
-    st0 = P.inflate(sigma0, m)
     ctx = K._ctx(n)
-    st_idx = ctx.index[st]
-    st0_idx = ctx.index[st0]
+    st_idx = ctx.index[P.inflate(sigma, m)]
+    st0_idx = ctx.index[P.inflate(sigma0, m)]
+    col = ctx.col(st_idx)
     lengths = ctx.length
     checks = []
-    for M, members in sorted(_group_buckets(n, m).items()):
-        rep_idx = ctx.index[min_rep(M)]
+    for M, rep_idx, members in _group_buckets(n, m):
         if not (ctx.leq(st0_idx, rep_idx) and ctx.leq(rep_idx, st_idx)):
             continue
         lhs = 0
         for w_idx in members:
             if ctx.leq(w_idx, st_idx):
-                packed = ctx.kl_packed(w_idx, st_idx)
-                val = 0
-                while packed:
-                    val += packed & 0xFFFF
-                    packed >>= 16
+                val = K.packed_at_one(col.get(w_idx, 1))
                 lhs += -val if lengths[w_idx] % 2 else val
         if m == 2:
             rhs = class_value(M)
@@ -330,9 +330,9 @@ def _coset_sums(sigma0: Perm, sigma: Perm, m: int) -> list[CosetCheck]:
 def _parabolic_sums(sigma0: Perm, sigma: Perm, m: int) -> list[ParityCheck]:
     k = len(sigma)
     n = m * k
-    st_idx_ctx = K._ctx(n)
-    st = P.inflate(sigma, m)
-    st_idx = st_idx_ctx.index[st]
+    ctx = K._ctx(n)
+    st_idx = ctx.index[P.inflate(sigma, m)]
+    col = ctx.col(st_idx)
     subgroup = _block_subgroup(k, m)
     out = []
     for sp in P.all_perms(k):
@@ -341,14 +341,9 @@ def _parabolic_sums(sigma0: Perm, sigma: Perm, m: int) -> list[ParityCheck]:
         spt = P.inflate(sp, m)
         total = 0
         for h, sgn in subgroup:
-            w = P.compose(spt, h)
-            w_idx = st_idx_ctx.index[w]
-            packed = st_idx_ctx.kl_packed(w_idx, st_idx)
-            val = 0
-            while packed:
-                val += packed & 0xFFFF
-                packed >>= 16
-            total += sgn * val
+            w_idx = ctx.index[P.compose(spt, h)]
+            if ctx.leq(w_idx, st_idx):
+                total += sgn * K.packed_at_one(col.get(w_idx, 1))
         out.append(ParityCheck(sp, total))
     return out
 
@@ -393,56 +388,48 @@ def verify_higher(sigma0: Perm, sigma: Perm, m: int, opt_in_large: bool = False)
 # Latin squares
 
 
+def _latin_squares(m: int) -> Iterator[list[Perm]]:
+    """
+    Every Latin square of order m, as its list of rows (one list, refilled
+    between squares).  Exhaustive; m <= 4.
+    """
+    if not 1 <= m <= 4:
+        raise ValueError("exhaustive count supported for m <= 4 only")
+    rows_pool = list(itertools.permutations(range(1, m + 1)))
+    rows: list[Perm] = []
+
+    def rec() -> Iterator[list[Perm]]:
+        if len(rows) == m:
+            yield rows
+            return
+        for cand in rows_pool:
+            if all(all(r[j] != cand[j] for j in range(m)) for r in rows):
+                rows.append(cand)
+                yield from rec()
+                rows.pop()
+
+    return rec()
+
+
 def latin_square_delta(m: int) -> int:
     """
     Signed count of Latin squares of order m (even minus odd, the sign being
     the product of all row and column signs).  Exhaustive; m <= 4.
     """
-    if not 1 <= m <= 4:
-        raise ValueError("exhaustive count supported for m <= 4 only")
-    rows_pool = list(itertools.permutations(range(1, m + 1)))
     total = 0
-
-    def rec(rows: list[Perm]) -> None:
-        nonlocal total
-        if len(rows) == m:
-            sgn = 1
-            for r in rows:
-                sgn *= P.sign(r)
-            for j in range(m):
-                sgn *= P.sign(tuple(r[j] for r in rows))
-            total += sgn
-            return
-        for cand in rows_pool:
-            if all(all(r[j] != cand[j] for j in range(m)) for r in rows):
-                rows.append(cand)
-                rec(rows)
-                rows.pop()
-
-    rec([])
+    for rows in _latin_squares(m):
+        sgn = 1
+        for r in rows:
+            sgn *= P.sign(r)
+        for j in range(m):
+            sgn *= P.sign(tuple(r[j] for r in rows))
+        total += sgn
     return total
 
 
 def latin_square_count(m: int) -> int:
     """Number of Latin squares of order m (same enumeration, unsigned)."""
-    if not 1 <= m <= 4:
-        raise ValueError("exhaustive count supported for m <= 4 only")
-    rows_pool = list(itertools.permutations(range(1, m + 1)))
-    total = 0
-
-    def rec(rows: list[Perm]) -> None:
-        nonlocal total
-        if len(rows) == m:
-            total += 1
-            return
-        for cand in rows_pool:
-            if all(all(r[j] != cand[j] for j in range(m)) for r in rows):
-                rows.append(cand)
-                rec(rows)
-                rows.pop()
-
-    rec([])
-    return total
+    return sum(1 for _ in _latin_squares(m))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,10 @@ _PZERO = 0
 _CACHE_MAGIC = b"SQKL"
 _CACHE_VERSION = 1
 
+#: largest n whose indexed S_n the recursion will build (S_10 holds 3,628,800
+#: elements; each further rank multiplies time and memory by n)
+MAX_TABLE_RANK = 10
+
 
 def _packed_to_tuple(p: int) -> tuple[int, ...]:
     out = []
@@ -46,6 +50,15 @@ def _packed_to_tuple(p: int) -> tuple[int, ...]:
         out.append(c)
         p >>= _SHIFT
     return tuple(out)
+
+
+def packed_at_one(p: int) -> int:
+    """Value at q = 1 of a packed polynomial: the sum of its coefficients."""
+    total = 0
+    while p:
+        total += p & _MASK
+        p >>= _SHIFT
+    return total
 
 
 class KLPolynomial:
@@ -207,18 +220,29 @@ class _SymContext:
         return self.conj[self.inv[x]]
 
     def interval_below(self, w: int) -> list[int]:
-        """All x <= w, sorted by decreasing length (computed fresh, O(n!))."""
-        rw = self.rank[w]
-        HI = self.HI
-        lw = self.length[w]
-        length = self.length
-        rank = self.rank
-        out = [
-            x
-            for x in range(self.N)
-            if length[x] <= lw and ((rank[x] | HI) - rw) & HI == HI
-        ]
-        out.sort(key=length.__getitem__, reverse=True)
+        """
+        All x <= w, sorted by decreasing length, ties by increasing index.
+
+        Built by the lifting property (Bjorner-Brenti, Combinatorics of
+        Coxeter Groups, Prop. 2.2.7): for a right descent s of w,
+        x <= w iff min(x, xs) <= ws, so [e, w] = [e, ws] u [e, ws]s.  Peel
+        right descents of w down to e, then grow {e} back up along that
+        reduced word.
+        """
+        perms = self.perms
+        word = []
+        v = w
+        for _ in range(self.length[w]):
+            p = perms[v]
+            s = next(i for i in range(self.n - 1) if p[i] > p[i + 1])
+            word.append(s)
+            v = self.rmul[s][v]
+        below = {v}
+        for s in reversed(word):
+            rmul_s = self.rmul[s]
+            below |= {rmul_s[x] for x in below}
+        out = sorted(below)
+        out.sort(key=self.length.__getitem__, reverse=True)
         return out
 
     def col(self, w: int) -> dict[int, int]:
@@ -350,6 +374,10 @@ _contexts_lock = threading.Lock()
 def _ctx(n: int) -> _SymContext:
     ctx = _contexts.get(n)
     if ctx is None:
+        if n > MAX_TABLE_RANK:
+            raise ValueError(
+                f"S_{n} is too large for the KL tables (MAX_TABLE_RANK = {MAX_TABLE_RANK})"
+            )
         with _contexts_lock:
             ctx = _contexts.get(n)
             if ctx is None:
@@ -378,12 +406,7 @@ def kl_at_one(x: Perm, w: Perm) -> int:
     """P_{x,w}(1), the main quantity consumed by the decision layer."""
     x, w = _check_pair(x, w)
     ctx = _ctx(len(x))
-    packed = ctx.kl_packed(ctx.index[x], ctx.index[w])
-    total = 0
-    while packed:
-        total += packed & _MASK
-        packed >>= _SHIFT
-    return total
+    return packed_at_one(ctx.kl_packed(ctx.index[x], ctx.index[w]))
 
 
 def kl_table(n: int) -> dict[tuple[Perm, Perm], KLPolynomial]:
@@ -599,9 +622,10 @@ def load_cache(path: str) -> int:
     """
     Load a cache written by :func:`save_cache`; returns entries loaded.
 
-    Installs nothing unless the whole file decodes: a short read, or a
-    stored polynomial whose constant term is not 1 (every column entry is
-    P_{x,w} != 1 for some x <= w), raises ValueError.
+    Installs nothing unless the whole file decodes: a short read, a record
+    for S_n with n > MAX_TABLE_RANK, or a stored polynomial whose constant
+    term is not 1 (every column entry is P_{x,w} != 1 for some x <= w),
+    raises ValueError.
     """
     columns = []
     with open(path, "rb") as fh:
@@ -617,6 +641,8 @@ def load_cache(path: str) -> int:
             if len(head) != 9:
                 raise ValueError("truncated KL cache file")
             n, w, count = struct.unpack("<BII", head)
+            if n > MAX_TABLE_RANK:
+                raise ValueError(f"KL cache record for S_{n} exceeds MAX_TABLE_RANK")
             col = {}
             for _ in range(count):
                 x, blen = struct.unpack("<IH", _read_exact(fh, 6))

@@ -64,7 +64,14 @@ def compose(u: Perm, v: Perm) -> Perm:
 
 def length(w: Perm) -> int:
     """Number of inversions #{i < j : w(i) > w(j)}."""
-    return sum(1 for i, j in itertools.combinations(range(len(w)), 2) if w[i] > w[j])
+    count = 0
+    seen = []
+    for v in w:
+        for u in seen:
+            if u > v:
+                count += 1
+        seen.append(v)
+    return count
 
 
 def sign(w: Perm) -> int:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -171,3 +172,15 @@ def test_sweep_equivalence_names_the_dissenting_criterion(capsys, monkeypatch):
     assert len(disagree) == 3
     for line in disagree:
         assert line.endswith("balanced=True pattern_free=True kl_one=False gls=True")
+
+
+def test_kl_beyond_table_rank_exits_2_quickly(capsys, monkeypatch):
+    monkeypatch.setattr(K, "_contexts", {})
+    monkeypatch.setattr(K, "_SymContext", lambda n: pytest.fail(f"built the S_{n} context"))
+    x = ",".join(str(v) for v in range(1, 13))
+    w = ",".join(str(v) for v in range(12, 0, -1))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "kl", x, w)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "S_12" in err and f"MAX_TABLE_RANK = {K.MAX_TABLE_RANK}" in err

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from squareirr import klidentity as KI
+from squareirr import klpoly as K
 from squareirr import perm as P
 from squareirr.klidentity import CosetMatrix
 
@@ -284,3 +285,101 @@ def test_tight_predicate_small():
     assert KI.tight_predicate((1, 2, 4, 3), (4, 2, 3, 1), (3, 4, 1, 2)) in (True, False)
     for k in (2, 3, 4):
         assert KI.tight_violations(k) == []
+
+
+def _packed_at_one_by_loop(packed):
+    val = 0
+    while packed:
+        val += packed & 0xFFFF
+        packed >>= 16
+    return val
+
+
+_reference_buckets = {}
+
+
+def _coset_sums_by_kl_packed(sigma0, sigma, m):
+    """The kl_packed route _coset_sums replaced, kept as the reference."""
+    n = m * len(sigma)
+    ctx = K._ctx(n)
+    if (n, m) not in _reference_buckets:
+        buckets = {}
+        for idx, w in enumerate(ctx.perms):
+            buckets.setdefault(KI.coset_matrix(w, m), []).append(idx)
+        _reference_buckets[(n, m)] = buckets
+    st_idx = ctx.index[P.inflate(sigma, m)]
+    st0_idx = ctx.index[P.inflate(sigma0, m)]
+    checks = []
+    for M, members in sorted(_reference_buckets[(n, m)].items()):
+        rep_idx = ctx.index[KI.min_rep(M)]
+        if not (ctx.leq(st0_idx, rep_idx) and ctx.leq(rep_idx, st_idx)):
+            continue
+        lhs = 0
+        for w_idx in members:
+            if ctx.leq(w_idx, st_idx):
+                val = _packed_at_one_by_loop(ctx.kl_packed(w_idx, st_idx))
+                lhs += -val if ctx.length[w_idx] % 2 else val
+        if m == 2:
+            rhs = KI.class_value(M)
+        else:
+            rhs = sum(P.sign(KI.iota(d)) for d in KI.birkhoff_decompositions(M))
+        checks.append(KI.CosetCheck(M, lhs, rhs))
+    return checks
+
+
+def _parabolic_sums_by_kl_packed(sigma0, sigma, m):
+    """The kl_packed route _parabolic_sums replaced, kept as the reference."""
+    k = len(sigma)
+    ctx = K._ctx(m * k)
+    st_idx = ctx.index[P.inflate(sigma, m)]
+    out = []
+    for sp in P.all_perms(k):
+        if not (P.bruhat_leq(sigma0, sp) and P.bruhat_leq(sp, sigma)):
+            continue
+        spt = P.inflate(sp, m)
+        total = 0
+        for h, sgn in KI._block_subgroup(k, m):
+            w_idx = ctx.index[P.compose(spt, h)]
+            total += sgn * _packed_at_one_by_loop(ctx.kl_packed(w_idx, st_idx))
+        out.append(KI.ParityCheck(sp, total))
+    return out
+
+
+def _identity_pairs(ks):
+    """Smooth pairs (sigma0, sigma) with 213-avoiding sigma0."""
+    return [
+        (s0, s)
+        for k in ks
+        for s0 in P.all_perms(k)
+        if P.is_213_avoiding(s0)
+        for s in P.all_perms(k)
+        if P.bruhat_leq(s0, s) and P.smooth_pair_data(s0, s).is_smooth
+    ]
+
+
+def test_coset_sums_read_off_one_column_match_kl_packed_route():
+    pairs = _identity_pairs((3, 4))
+    assert len(pairs) == 117
+    for s0, s in pairs:
+        got = KI.verify_klidnt(s0, s)
+        want = KI.IdentityReport(
+            s, s0, 2, _coset_sums_by_kl_packed(s0, s, 2), _parabolic_sums_by_kl_packed(s0, s, 2)
+        )
+        assert got.to_json() == want.to_json(), (s0, s)
+    for s0, s in _identity_pairs((2,)):
+        got = KI.verify_higher(s0, s, 3)
+        want = KI.IdentityReport(
+            s, s0, 3, _coset_sums_by_kl_packed(s0, s, 3), _parabolic_sums_by_kl_packed(s0, s, 3)
+        )
+        assert got.to_json() == want.to_json(), (s0, s)
+
+
+@pytest.mark.parametrize("n,m", [(4, 2), (6, 2), (6, 3), (8, 2)])
+def test_group_buckets_hold_min_rep_index(n, m):
+    ctx = K._ctx(n)
+    buckets = KI._group_buckets(n, m)
+    assert [M for M, _, _ in buckets] == sorted(M for M, _, _ in buckets)
+    assert sorted(i for _, _, members in buckets for i in members) == list(range(ctx.N))
+    for M, rep_idx, members in buckets:
+        assert rep_idx == ctx.index[KI.min_rep(M)]
+        assert all(KI.coset_matrix(ctx.perms[i], m) == M for i in members)

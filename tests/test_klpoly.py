@@ -168,3 +168,58 @@ def test_cache_record_without_constant_term_one_is_rejected(tmp_path, monkeypatc
         with pytest.raises(ValueError, match="corrupt KL cache record"):
             K.load_cache(os.fspath(path))
     assert w not in K._ctx(4)._cols
+
+
+def _interval_below_by_scan(ctx, w):
+    """The O(n!) scan interval_below replaced, kept as the reference."""
+    rw = ctx.rank[w]
+    lw = ctx.length[w]
+    out = [
+        x
+        for x in range(ctx.N)
+        if ctx.length[x] <= lw and ((ctx.rank[x] | ctx.HI) - rw) & ctx.HI == ctx.HI
+    ]
+    out.sort(key=ctx.length.__getitem__, reverse=True)
+    return out
+
+
+def test_interval_below_matches_scan():
+    # every w in S_1..S_6, then 500 seeded w each in S_7 and S_8; order included
+    for n in range(1, 7):
+        ctx = K._ctx(n)
+        for w in range(ctx.N):
+            assert ctx.interval_below(w) == _interval_below_by_scan(ctx, w), (n, w)
+    rng = random.Random(4)
+    for n in (7, 8):
+        ctx = K._ctx(n)
+        for w in rng.sample(range(ctx.N), 500):
+            assert ctx.interval_below(w) == _interval_below_by_scan(ctx, w), (n, w)
+
+
+def _refuse_to_build(n):
+    pytest.fail(f"built the S_{n} context")
+
+
+def test_table_rank_bound_is_checked_before_building(monkeypatch):
+    monkeypatch.setattr(K, "_contexts", {})
+    monkeypatch.setattr(K, "_SymContext", _refuse_to_build)
+    n = K.MAX_TABLE_RANK + 1
+    with pytest.raises(ValueError, match=rf"S_{n} .*MAX_TABLE_RANK = {K.MAX_TABLE_RANK}"):
+        K._ctx(n)
+    with pytest.raises(ValueError, match="MAX_TABLE_RANK"):
+        K.kl_at_one(P.identity(n), P.longest_element(n))
+    assert K._contexts == {}
+
+
+def test_cache_record_beyond_table_rank_is_rejected(tmp_path, monkeypatch):
+    monkeypatch.setattr(K, "_contexts", {})
+    w = K._ctx(4).index[(3, 4, 1, 2)]
+    monkeypatch.setattr(K, "_SymContext", _refuse_to_build)
+    good = struct.pack("<BII", 4, w, 0)
+    big = struct.pack("<BII", K.MAX_TABLE_RANK + 1, 0, 0)
+    path = tmp_path / "big.cache"
+    path.write_bytes(b"SQKL" + struct.pack("<H", 1) + good + big)
+    with pytest.raises(ValueError, match="exceeds MAX_TABLE_RANK"):
+        K.load_cache(os.fspath(path))
+    assert w not in K._ctx(4)._cols
+    assert set(K._contexts) == {4}

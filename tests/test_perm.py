@@ -386,3 +386,11 @@ def test_bruhat_leq_matches_rank_matrices():
         assert got == _rank_matrix_leq(t, s), (t, s)
         hits += got
     assert 0 < hits < 4000
+
+
+def test_length_matches_combinations_count():
+    for k in range(8):
+        for w in P.all_perms(k):
+            assert P.length(w) == sum(
+                1 for i, j in itertools.combinations(range(k), 2) if w[i] > w[j]
+            ), w
