@@ -87,18 +87,23 @@ def depth(m: Multisegment) -> int:
     """
     if not m.is_regular:
         return depth_by_apu(m)
+    return P.smooth_pair_data(*attached_pair(m)).i_count
+
+
+def attached_pair(m: Multisegment) -> tuple[Perm, Perm]:
+    """(sigma0, sigma) of the canonical factorization (A, sigma) of m."""
     A, sigma = B.factorize(m)
-    sigma0 = B.sigma0(A)
-    return P.smooth_pair_data(sigma0, sigma).i_count
+    return B.sigma0(A), sigma
 
 
-def is_balanced(m: Multisegment) -> bool:
-    """depth == complexity, via the smooth-pair test. Regular input only."""
+def is_balanced(m: Multisegment, pair: Optional[tuple[Perm, Perm]] = None) -> bool:
+    """
+    depth == complexity, via the smooth-pair test. Regular input only.
+    ``pair`` is ``attached_pair(m)`` when the caller already has it.
+    """
     if not m.is_regular:
         raise ValueError("balanced is defined for regular multisegments only")
-    A, sigma = B.factorize(m)
-    sigma0 = B.sigma0(A)
-    return P.smooth_pair_data(sigma0, sigma).is_smooth
+    return P.smooth_pair_data(*(pair or attached_pair(m))).is_smooth
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +411,12 @@ class Verdict:
         }
 
 
-def kl_criterion(m: Multisegment) -> bool:
-    """P(1) == 1 for the pair of permutations attached to m."""
-    A, sigma = B.factorize(m)
-    sigma0 = B.sigma0(A)
-    return K.kl_at_one(sigma0, sigma) == 1
+def kl_criterion(m: Multisegment, pair: Optional[tuple[Perm, Perm]] = None) -> bool:
+    """
+    P(1) == 1 for the pair of permutations attached to m.  ``pair`` is
+    ``attached_pair(m)`` when the caller already has it.
+    """
+    return K.kl_at_one(*(pair or attached_pair(m))) == 1
 
 
 def decide_square_irreducible(m: Multisegment, trials: int = 3, seed: int = 0) -> Verdict:
@@ -421,10 +427,12 @@ def decide_square_irreducible(m: Multisegment, trials: int = 3, seed: int = 0) -
     claimed (the equivalence is conjectural there).
     """
     gls_value, gls_report = gls_check(m, trials=trials, seed=seed)
-    klv = kl_criterion(m)
+    # the factorization is the common input of kl_one and balanced, not a route
+    pair = attached_pair(m)
+    klv = kl_criterion(m, pair=pair)
     if not m.is_regular:
         return Verdict(str(m), False, None, gls_report, klv, None, None, None)
-    bal = is_balanced(m)
+    bal = is_balanced(m, pair=pair)
     pat = has_forbidden_type(m) is None
     agree = bal == pat == klv == gls_value
     return Verdict(str(m), True, bal, gls_report, klv, pat, agree, bal)

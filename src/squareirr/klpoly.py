@@ -22,6 +22,7 @@ below 2**16 and every subtraction has a coefficientwise-nonnegative result.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 import threading
 from typing import Iterable, Optional
@@ -118,57 +119,131 @@ ZERO = KLPolynomial(())
 # recursion engine
 
 
+def _concat_maps(pairs) -> list:
+    """The concatenation of map(f, table) over the (f, table) pairs."""
+    out: list = []
+    for f, table in pairs:
+        out += map(f, table)
+    return out
+
+
+def _index_tables(perms: list[Perm], n: int) -> tuple:
+    """``index``, ``length``, ``rmul``, ``lmul``, ``inv`` and ``conj``; see _SymContext."""
+    ints = list(range(len(perms)))
+    length, rmul, lmul, inv, ins = [0], [], [], [0], [[0]]  # S_1; ins[a] is indexed by S_{m-1}
+    for m in range(2, n + 1):
+        f0, f1 = math.factorial(m - 1), math.factorial(m - 2)
+        # into[c] maps the index r of a tail in S_{m-1} to c_0 (m-1)! + r
+        into = [ints[c * f0 : (c + 1) * f0].__getitem__ for c in range(m)]
+        ident = ints[:f0]
+        swapped = []  # rmul[0]: one block of (m-2)! per first two digits (c_0, c_1)
+        for c0 in range(m):
+            for c1 in range(m - 1):
+                s = (c1 + 1) * f0 + c0 * f1 if c0 <= c1 else c1 * f0 + (c0 - 1) * f1
+                swapped += ints[s : s + f1]
+        length = _concat_maps((c.__add__, length) for c in range(m))
+        rmul = [swapped] + [_concat_maps((f, r) for f in into) for r in rmul]
+        lmul = [
+            _concat_maps(
+                (into[c], lmul[i - 1]) if c < i
+                else (into[c], lmul[i]) if c > i + 1
+                else (into[2 * i + 1 - c], ident)
+                for c in range(m)
+            )
+            for i in range(m - 1)
+        ]
+        ins = [ident] + [_concat_maps((f, t) for f in into[1:]) for t in ins]
+        inv = _concat_maps((t.__getitem__, inv) for t in ins)
+    rev = inv[::-1]
+    conj = list(map(rev.__getitem__, rev))
+    return dict(zip(perms, ints)), length, rmul, lmul, inv, conj
+
+
+def _rank_table(perms: list[Perm], n: int) -> list[int]:
+    """``rank``; see _SymContext."""
+    # term[k][v]: one in each cell (i, j) with i >= k and j >= v - 1
+    term = [
+        [0]
+        + [
+            int.from_bytes(bytes(n * k) + (bytes(v - 1) + b"\1" * (n - v + 1)) * (n - k), "little")
+            for v in range(1, n + 1)
+        ]
+        for k in range(n)
+    ]
+    h = max(n - 5, 0)  # tails of 5 entries: the 5! permutations of each head share its sum
+    top = int.from_bytes(b"\xff" * (n * h), "little")
+    bottom = int.from_bytes(bytes(n * h) + b"\xff" * (n * (n - h)), "little")
+    tails: dict[Perm, list[int]] = {}
+    rank: list[int] = []
+    for w in range(0, len(perms), math.factorial(n - h)):
+        p = perms[w]  # the first permutation with head p[:h], so its tail is increasing
+        head = sum(map(list.__getitem__, term, p[:h]))
+        sums = tails.get(p[h:])
+        if sums is None:
+            sums = tails[p[h:]] = [
+                (head + sum(map(list.__getitem__, term[h:], q))) & bottom
+                for q in itertools.permutations(p[h:])
+            ]
+        rank += map((head & top).__or__, sums)
+    return rank
+
+
 class _SymContext:
-    """Indexed S_n with multiplication tables and the column cache."""
+    """
+    Indexed S_n with multiplication tables and the column cache.
+
+    ``perms`` lists S_n in lexicographic order, so the index of p is its
+    Lehmer code read in the factorial base: w = sum_k c_k (n-1-k)!, where c_k
+    counts the entries after position k that are smaller than p[k], and
+    length[w] = sum_k c_k.  rmul[i][w] swaps positions i, i+1 (0-based),
+    lmul[i][w] swaps the values i+1, i+2.
+
+    The tables are built from that layout with no per-permutation work, by
+    recursion on m = 2..n over the first digit: w = c_0 (m-1)! + r splits
+    S_m into m blocks of (m-1)! consecutive indices whose tails run through
+    S_{m-1} in order (primes mark the tables of S_{m-1}).
+
+    * length[w] = c_0 + length'[r], and rmul[i][w] = c_0 (m-1)! + rmul'[i-1][r]
+      for i >= 1.
+    * rmul[0] rewrites the first two digits only (the adjacent-swap rule):
+      an ascent (c_0 <= c_1) becomes (c_1 + 1, c_0), a descent (c_1, c_0 - 1).
+    * lmul[i] moves w between the blocks c_0 = i and i + 1, keeping r, when
+      the first value is i+1 or i+2; otherwise it swaps values of the tail:
+      lmul[i][w] = c_0 (m-1)! + lmul'[i-1][r] for c_0 < i, and with lmul'[i]
+      for c_0 > i + 1.
+    * p^-1 is 1 + tail^-1 with the value 1 inserted at position c_0, so
+      inv[w] = ins[c_0][inv'[r]].  Inserting 1 at position a >= 1 raises the
+      first digit by one and inserts at a - 1 into the tail, which gives the
+      tables ``ins`` by the same recursion.
+    * conj[w] = inv[N-1-inv[N-1-w]], because complementing the values maps
+      index w to N-1-w.
+
+    Every index in these tables is an object of one list of the N indices,
+    which also holds the values of ``index``: the tables slice it or map
+    through it, so an entry costs a pointer and not a fresh integer object.
+
+    rank[w] packs the rank matrix of p 8 bits per cell, row-major: cell
+    (i, j) counts the k <= i with p[k] <= j + 1, a sum over k of a term fixed
+    by (k, p[k]).  Split p into a head p[:h] and a tail of the last n - h
+    entries: rows below h depend on the head alone, the other rows on the
+    tail alone (its values fix those of the head), so each head's rows and
+    each tail's rows are summed once and joined by a bitwise or.
+    """
 
     def __init__(self, n: int):
         self.n = n
         perms = list(itertools.permutations(range(1, n + 1)))
         self.perms = perms
-        self.index = {p: i for i, p in enumerate(perms)}
-        N = len(perms)
-        self.N = N
-        self.length = [
-            sum(1 for i, j in itertools.combinations(range(n), 2) if p[i] > p[j])
-            for p in perms
-        ]
-        # rmul[i][w]: swap positions i, i+1 (0-based); lmul[i][w]: swap values i+1, i+2
-        self.rmul = []
-        self.lmul = []
-        for i in range(n - 1):
-            r = [0] * N
-            l = [0] * N
-            for w, p in enumerate(perms):
-                q = list(p)
-                q[i], q[i + 1] = q[i + 1], q[i]
-                r[w] = self.index[tuple(q)]
-                q = [i + 2 if v == i + 1 else i + 1 if v == i + 2 else v for v in p]
-                l[w] = self.index[tuple(q)]
-            self.rmul.append(r)
-            self.lmul.append(l)
-        self.inv = [self.index[tuple(sorted(range(1, n + 1), key=lambda v: p[v - 1]))] for p in perms]
-        self.conj = [self.index[tuple(n + 1 - p[n - 1 - j] for j in range(n))] for p in perms]
-        # rank matrices packed 8 bits per cell, row-major
-        self.rank = [self._pack_rank(p) for p in perms]
+        self.N = len(perms)
+        # two helpers, so that the working lists of the first are freed
+        # before the rank integers are allocated (peak RSS)
+        self.index, self.length, self.rmul, self.lmul, self.inv, self.conj = _index_tables(perms, n)
+        self.rank = _rank_table(perms, n)
         self.HI = int.from_bytes(b"\x80" * (n * n), "little")
         self._cols: dict[int, dict[int, int]] = {}
         self._mus: dict[int, list[tuple[int, int]]] = {}
         self._smooth: dict[int, bool] = {}
         self._lock = threading.RLock()
-
-    def _pack_rank(self, p: Perm) -> int:
-        n = self.n
-        acc = 0
-        counts = [0] * n
-        cell = 0
-        for i in range(n):
-            counts = counts.copy()
-            for j in range(p[i] - 1, n):
-                counts[j] += 1
-            for j in range(n):
-                acc |= counts[j] << (8 * cell)
-                cell += 1
-        return acc
 
     def leq(self, x: int, w: int) -> bool:
         """x <= w in Bruhat order."""

@@ -297,10 +297,11 @@ def link_data(m: Multisegment, n: Optional[Multisegment] = None) -> LinkData:
     X = set()
     Xt = set()
     for i, di in enumerate(m.segments, start=1):
+        ti = shift_down(di)
         for j, dj in enumerate(other.segments, start=1):
             if precedes(di, dj):
                 X.add((i, j))
-            if precedes(shift_down(di), dj):
+            if precedes(ti, dj):
                 Xt.add((i, j))
     return LinkData(frozenset(X), frozenset(Xt))
 

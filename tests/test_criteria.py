@@ -278,6 +278,20 @@ def test_decide_ladder():
     assert v.square_irreducible is True and v.agree
 
 
+@pytest.mark.parametrize("text", ["[4,5]+[2,4]+[3]+[1,2]", "[2]+[2]+[1]+[1]"])
+def test_decide_factorizes_once(monkeypatch, text):
+    m = parse(text)
+    pair = C.attached_pair(m)
+    calls = []
+    real = B.factorize
+    monkeypatch.setattr(B, "factorize", lambda x: calls.append(x) or real(x))
+    v = C.decide_square_irreducible(m)
+    assert calls == [m]
+    assert v.kl_one == C.kl_criterion(m) == C.kl_criterion(m, pair=pair)
+    if m.is_regular:
+        assert v.balanced == C.is_balanced(m) == C.is_balanced(m, pair=pair)
+
+
 def test_decide_nonregular_reports_raw_criteria():
     v = C.decide_square_irreducible(parse("[2]+[2]+[1]+[1]"))
     assert v.regular is False

@@ -196,6 +196,58 @@ def test_interval_below_matches_scan():
             assert ctx.interval_below(w) == _interval_below_by_scan(ctx, w), (n, w)
 
 
+def _per_permutation_entries(n, index, p):
+    """
+    length, rmul, lmul, inv, conj and rank at p, by the per-permutation
+    construction the tables replaced, kept as the reference.
+    """
+    length = sum(1 for i, j in itertools.combinations(range(n), 2) if p[i] > p[j])
+    rmul = []
+    lmul = []
+    for i in range(n - 1):
+        q = list(p)
+        q[i], q[i + 1] = q[i + 1], q[i]
+        rmul.append(index[tuple(q)])
+        q = [i + 2 if v == i + 1 else i + 1 if v == i + 2 else v for v in p]
+        lmul.append(index[tuple(q)])
+    inv = index[tuple(sorted(range(1, n + 1), key=lambda v: p[v - 1]))]
+    conj = index[tuple(n + 1 - p[n - 1 - j] for j in range(n))]
+    rank = 0
+    counts = [0] * n
+    for i in range(n):
+        for j in range(p[i] - 1, n):
+            counts[j] += 1
+        for j in range(n):
+            rank |= counts[j] << (8 * (n * i + j))
+    return length, rmul, lmul, inv, conj, rank
+
+
+def test_symcontext_tables_match_per_permutation_build():
+    # every entry for n = 0..7 (`decide 0` reaches S_0; S_1 has rank [1]),
+    # then 2,000 seeded w in S_8
+    rng = random.Random(5)
+    for n in range(9):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        index = {p: i for i, p in enumerate(perms)}
+        ctx = K._SymContext(n)
+        assert ctx.perms == perms and ctx.index == index and ctx.N == len(perms)
+        assert ctx.HI == int.from_bytes(b"\x80" * (n * n), "little")
+        assert len(ctx.rmul) == len(ctx.lmul) == max(n - 1, 0)
+        tables = [ctx.length, ctx.inv, ctx.conj, ctx.rank, *ctx.rmul, *ctx.lmul]
+        assert all(len(t) == ctx.N for t in tables)
+        for w in range(ctx.N) if n < 8 else rng.sample(range(ctx.N), 2000):
+            got = (
+                ctx.length[w],
+                [r[w] for r in ctx.rmul],
+                [l[w] for l in ctx.lmul],
+                ctx.inv[w],
+                ctx.conj[w],
+                ctx.rank[w],
+            )
+            assert got == _per_permutation_entries(n, index, perms[w]), (n, w)
+    assert K._SymContext(1).rank == [1]
+
+
 def _refuse_to_build(n):
     pytest.fail(f"built the S_{n} context")
 
