@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
@@ -21,6 +22,9 @@ from . import klidentity as KI
 from . import klpoly as K
 from . import multiseg as M
 from . import perm as P
+
+MAX_EQUIVALENCE_K = 8  # 2,027,025 instances; k = 9 would build 34,459,425 payloads first
+MAX_PAR = max(2, os.cpu_count() or 1)  # the CPU count, but never below 2 workers
 
 
 def _print(obj) -> None:
@@ -279,6 +283,10 @@ def _sweep_minimal_unbalanced(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if not 1 <= args.par <= MAX_PAR:
+        raise ValueError(f"--par must be between 1 and {MAX_PAR}, got {args.par}")
+    if args.which == "equivalence" and not 0 <= args.k <= MAX_EQUIVALENCE_K:
+        raise ValueError(f"--k must be between 0 and {MAX_EQUIVALENCE_K} for the equivalence sweep, got {args.k}")
     return {
         "equivalence": _sweep_equivalence,
         "involution": _sweep_involution,

@@ -28,9 +28,8 @@ from .multiseg import (
     Multisegment,
     Segment,
     link_data,
+    link_tables,
     precedes,
-    rel_adjacency,
-    shift_down,
     speh,
     elementary_moves,
     downward_closure,
@@ -110,27 +109,15 @@ def is_balanced(m: Multisegment, pair: Optional[tuple[Perm, Perm]] = None) -> bo
 # forbidden sub-multisegments
 
 
-def _is_type_4231(segs: tuple[Segment, ...]) -> bool:
-    k = len(segs)
-    if k < 4:
-        return False
-    if not all(precedes(segs[i], segs[i - 1]) for i in range(3, k)):
-        return False
-    if not precedes(segs[2], segs[0]):
-        return False
-    return segs[k - 1].a < segs[1].a < segs[k - 2].a
-
-
-def _is_type_3412(segs: tuple[Segment, ...]) -> bool:
-    k = len(segs)
-    if k < 4:
-        return False
-    if not all(precedes(segs[i], segs[i - 1]) for i in range(4, k)):
-        return False
-    if not precedes(segs[3], segs[1]):
-        return False
-    l = 1 if k == 4 else k - 2
-    return segs[2].a < segs[k - 1].a < segs[0].a < segs[l].a
+def _shape_at(s: tuple[int, ...], pr: list[list[bool]], a: list[int]) -> Optional[str]:
+    """4231 or 3412 on the 0-based indices s, given pr[i][j] (i precedes j) and the begins a."""
+    n = len(s)
+    if pr[s[2]][s[0]] and a[s[-1]] < a[s[1]] < a[s[-2]] and all(pr[s[t]][s[t - 1]] for t in range(3, n)):
+        return "4231"
+    l = 1 if n == 4 else n - 2
+    if pr[s[3]][s[1]] and a[s[2]] < a[s[-1]] < a[s[0]] < a[s[l]] and all(pr[s[t]][s[t - 1]] for t in range(4, n)):
+        return "3412"
+    return None
 
 
 def has_forbidden_type(m: Multisegment) -> Optional[tuple[str, tuple[int, ...]]]:
@@ -140,14 +127,14 @@ def has_forbidden_type(m: Multisegment) -> Optional[tuple[str, tuple[int, ...]]]
     """
     if not m.is_regular:
         raise ValueError("forbidden-type search requires a regular multisegment")
-    k = len(m)
-    for size in range(4, k + 1):
-        for idx in itertools.combinations(range(1, k + 1), size):
-            segs = tuple(m.seg(i) for i in idx)
-            if _is_type_4231(segs):
-                return ("4231", idx)
-            if _is_type_3412(segs):
-                return ("3412", idx)
+    segs = m.segments
+    pr = [[precedes(d1, d2) for d2 in segs] for d1 in segs]
+    a = [d.a for d in segs]
+    for size in range(4, len(segs) + 1):
+        for s in itertools.combinations(range(len(segs)), size):
+            kind = _shape_at(s, pr, a)
+            if kind:
+                return (kind, tuple(i + 1 for i in s))
     return None
 
 
@@ -172,8 +159,7 @@ class GlsReport:
 
 def neighbor_map(m: Multisegment) -> dict[tuple[int, int], list[tuple[int, int]]]:
     """Neighbours inside the shifted link set, for the self-pairing of m."""
-    X, Xt = link_data(m)
-    return rel_adjacency(m, m, X, Xt)
+    return link_tables(m).adj
 
 
 def irreducible_pairs(m: Multisegment, adj: Optional[dict] = None) -> list[tuple[int, int]]:
@@ -234,20 +220,18 @@ def _matching_is_strong(f: dict, by_first: list, by_second: list) -> bool:
 
 
 def find_strong_matching(
-    m: Multisegment, budget: int = STRONG_MATCHING_BUDGET, adj: Optional[dict] = None
+    m: Multisegment, budget: int = STRONG_MATCHING_BUDGET,
+    adj: Optional[dict] = None, labels: Optional[dict] = None,
 ) -> Optional[dict]:
     """
     Bounded backtracking search for a strong neighbour-respecting injection;
     None if none is found within the budget (which proves nothing).  ``adj``
-    is the neighbour map of m when the caller has already built it.
+    and ``labels`` are the neighbour map of m and its edge labels, as
+    :func:`multiseg.link_tables` gives them, when the caller has them.
     """
-    if adj is None:
-        adj = neighbor_map(m)
+    if adj is None or labels is None:
+        _, _, adj, labels = link_tables(m)
     X = sorted(adj, key=lambda x: (len(adj[x]), x))
-    labels = {}
-    for x, nbrs in adj.items():
-        for y in nbrs:
-            labels[(x, y)] = _edge_label(m, x, y)
     # the used labels, indexed by first and by second coordinate
     by_first: list[list[int]] = [[] for _ in range(len(m) + 1)]
     by_second: list[list[int]] = [[] for _ in range(len(m) + 1)]
@@ -260,13 +244,12 @@ def find_strong_matching(
         if pos == len(X):
             return dict(assign) if _matching_is_strong(assign, by_first, by_second) else None
         x = X[pos]
-        for y in adj[x]:
+        for y, (a, b) in zip(adj[x], labels[x]):
             if y in used:
                 continue
             steps += 1
             if steps > budget:
                 return None
-            a, b = labels[(x, y)]
             used.add(y)
             assign[x] = y
             by_first[a].append(b)
@@ -285,9 +268,8 @@ def find_strong_matching(
     return backtrack(0)
 
 
-def _gls_vectors_mod(m: Multisegment, lam: dict, p: int) -> list[list[int]]:
+def _gls_vectors_mod(m: Multisegment, X: frozenset, Xt: frozenset, lam: dict, p: int) -> list[list[int]]:
     """Rows of the rank test: one vector over the shifted link set per link pair."""
-    X, Xt = link_data(m)
     xt_index = {y: c for c, y in enumerate(sorted(Xt))}
     rows = []
     for (i, j) in sorted(X):
@@ -333,11 +315,12 @@ def gls_check(m: Multisegment, trials: int = 3, seed: int = 0) -> tuple[bool, Gl
     irreducible pairs, or no neighbour-respecting matching at all) and
     otherwise carry the residual error bound of the randomized test.
     """
-    X, Xt = link_data(m)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    X, Xt, adj, labels = link_tables(m)
     if not X:
         return True, GlsReport(True, "strong-matching")
     k = len(m)
-    adj = rel_adjacency(m, m, X, Xt)
     size, _ = maximum_matching(adj)
     if size < len(X):
         return False, GlsReport(
@@ -350,7 +333,7 @@ def gls_check(m: Multisegment, trials: int = 3, seed: int = 0) -> tuple[bool, Gl
         return False, GlsReport(
             False, "certificate", certificate=f"{len(irr)} irreducible pairs >= {k}"
         )
-    strong = find_strong_matching(m, adj=adj)
+    strong = find_strong_matching(m, adj=adj, labels=labels)
     if strong is not None:
         return True, GlsReport(True, "strong-matching")
     rng = random.Random(seed)
@@ -359,7 +342,7 @@ def gls_check(m: Multisegment, trials: int = 3, seed: int = 0) -> tuple[bool, Gl
     last_lambda: dict = {}
     for _ in range(trials):
         lam = {x: rng.randrange(1, p) for x in sorted(X)}
-        rank = _rank_mod(_gls_vectors_mod(m, lam, p), p)
+        rank = _rank_mod(_gls_vectors_mod(m, X, Xt, lam, p), p)
         if rank == len(X):
             return True, GlsReport(
                 True,

@@ -1,5 +1,5 @@
 """
-Maximum bipartite matching via Hopcroft-Karp.
+Maximum bipartite matching by augmenting paths.
 
 Vertices may be arbitrary hashable values.  Adjacency lists are consumed in
 the order given, so results are deterministic across runs.
@@ -7,56 +7,39 @@ the order given, so results are deterministic across runs.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, Hashable, List, Tuple
-
-INF = float("inf")
 
 
 def maximum_matching(graph: Dict[Hashable, List[Hashable]]) -> Tuple[int, Dict[Hashable, Hashable]]:
     """
     ``graph`` maps each left vertex to its list of right neighbours.
     Returns (size, matching) with matching keyed by left vertices.
+
+    Each left vertex takes its first free neighbour, or else one augmenting
+    path is searched from it: O(V E) at worst, but on the small graphs the
+    link sets give (at most 15 left vertices at k = 6) it does far less work
+    than a Hopcroft-Karp layering.
     """
-    pair_left: dict = {}
     pair_right: dict = {}
-    dist: dict = {}
-    lefts = list(graph)
 
-    def bfs() -> bool:
-        queue = deque()
-        for u in lefts:
-            if u not in pair_left:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        reachable_free = INF
-        while queue:
-            u = queue.popleft()
-            if dist[u] < reachable_free:
-                for v in graph[u]:
-                    w = pair_right.get(v)
-                    if w is None:
-                        reachable_free = min(reachable_free, dist[u] + 1)
-                    elif dist[w] == INF:
-                        dist[w] = dist[u] + 1
-                        queue.append(w)
-        return reachable_free != INF
-
-    def dfs(u) -> bool:
+    def augment(u, seen: set) -> bool:
         for v in graph[u]:
-            w = pair_right.get(v)
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_left[u] = v
-                pair_right[v] = u
-                return True
-        dist[u] = INF
+            if v not in seen:
+                seen.add(v)
+                w = pair_right.get(v)
+                if w is None or augment(w, seen):
+                    pair_right[v] = u
+                    return True
         return False
 
     size = 0
-    while bfs():
-        for u in lefts:
-            if u not in pair_left and dfs(u):
-                size += 1
-    return size, pair_left
+    for u, nbrs in graph.items():
+        for v in nbrs:
+            if v not in pair_right:
+                pair_right[v] = u
+                break
+        else:
+            if not augment(u, set()):
+                continue
+        size += 1
+    return size, {u: v for v, u in pair_right.items()}

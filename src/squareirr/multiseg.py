@@ -287,46 +287,82 @@ class LinkData(NamedTuple):
     Xt: frozenset[tuple[int, int]]
 
 
+class LinkTables(NamedTuple):
+    X: frozenset[tuple[int, int]]
+    Xt: frozenset[tuple[int, int]]
+    adj: dict[tuple[int, int], list[tuple[int, int]]]
+    labels: dict[tuple[int, int], list[tuple[int, int]]]
+
+
+def _link_rows(src: tuple[Segment, ...], dst: tuple[Segment, ...]) -> tuple[list, list, list, list]:
+    """
+    One pass over the segment pairs, 1-based on both sides: bit j of pre[i]
+    is set when segment i of src precedes segment j of dst, rows[i] lists
+    those j ascending, sh[i] lists the j that segment i shifted down
+    precedes, and sh_t is the transpose of sh.
+    """
+    pre = [0] * (len(src) + 1)
+    rows: list[list[int]] = [[] for _ in pre]
+    sh: list[list[int]] = [[] for _ in pre]
+    sh_t: list[list[int]] = [[] for _ in range(len(dst) + 1)]
+    for i, (a1, b1) in enumerate(src, start=1):
+        for j, (a2, b2) in enumerate(dst, start=1):
+            if b2 < b1:  # ends descend: no later j is preceded either
+                break
+            # precedes(d1, d2), and precedes(shift_down(d1), d2), on the ints
+            if a1 < a2 <= b1 + 1 and b1 < b2:
+                pre[i] |= 1 << j
+                rows[i].append(j)
+            if a1 <= a2 <= b1 and b1 <= b2:
+                sh[i].append(j)
+                sh_t[j].append(i)
+    return pre, rows, sh, sh_t
+
+
+def _pairs(rows: list[list[int]]) -> frozenset[tuple[int, int]]:
+    return frozenset((i, j) for i, row in enumerate(rows) for j in row)
+
+
+def link_tables(m: Multisegment, n: Optional[Multisegment] = None) -> LinkTables:
+    """
+    The link sets of :func:`link_data`, the neighbour map from X into Xt,
+    and the labels of its edges, from one pass over the segment pairs.
+    (i, j) -> (i2, j2) is an edge iff (same j and segment i of m precedes
+    segment i2 of m; label (i, i2)) or (same i and segment j2 of n precedes
+    segment j of n; label (j2, j)).  The map's keys are sorted X and each
+    list is in sorted order: segment i preceding segment i2 forces i2 < i,
+    because ends descend, so the column edges come first.  ``labels[x]``
+    lists the labels of the edges in ``adj[x]``, in the same order.
+    """
+    src, dst = m.segments, (m if n is None else n).segments
+    pre, rows, sh, sh_t = _link_rows(src, dst)
+    pre_m = pre if n is None else _link_rows(src, src)[0]
+    pre_n = pre if n is None else _link_rows(dst, dst)[0]
+    adj, labels = {}, {}
+    for i, row in enumerate(rows):
+        pre_i, sh_i = pre_m[i], sh[i]
+        for j in row:
+            nbrs = adj[i, j] = []
+            labs = labels[i, j] = []
+            for i2 in sh_t[j]:
+                if pre_i >> i2 & 1:
+                    nbrs.append((i2, j))
+                    labs.append((i, i2))
+            for j2 in sh_i:
+                if pre_n[j2] >> j & 1:
+                    nbrs.append((i, j2))
+                    labs.append((j2, j))
+    return LinkTables(frozenset(adj), _pairs(sh), adj, labels)
+
+
 def link_data(m: Multisegment, n: Optional[Multisegment] = None) -> LinkData:
     """
     Ordered pairs of 1-based canonical indices: X collects (i, j) with
     segment i of m preceding segment j of n, Xt the same with segment i
     shifted down first.  ``n`` defaults to ``m``.
     """
-    other = m if n is None else n
-    X = set()
-    Xt = set()
-    for i, di in enumerate(m.segments, start=1):
-        ti = shift_down(di)
-        for j, dj in enumerate(other.segments, start=1):
-            if precedes(di, dj):
-                X.add((i, j))
-            if precedes(ti, dj):
-                Xt.add((i, j))
-    return LinkData(frozenset(X), frozenset(Xt))
-
-
-def rel_adjacency(
-    m: Multisegment, n: Multisegment, X: frozenset, Xt: frozenset
-) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """
-    Bipartite adjacency of the neighbour relation from X = X_{m;n} into
-    Xt: (i1,j1) -> (i2,j2) iff (same i and segment j2 of n precedes segment
-    j1) or (same j and segment i1 of m precedes segment i2).
-    """
-    adj: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    xt_sorted = sorted(Xt)
-    for x in sorted(X):
-        i1, j1 = x
-        nbrs = []
-        for y in xt_sorted:
-            i2, j2 = y
-            if i1 == i2 and precedes(n.seg(j2), n.seg(j1)):
-                nbrs.append(y)
-            elif j1 == j2 and precedes(m.seg(i1), m.seg(i2)):
-                nbrs.append(y)
-        adj[x] = nbrs
-    return adj
+    _, rows, sh, _ = _link_rows(m.segments, (m if n is None else n).segments)
+    return LinkData(_pairs(rows), _pairs(sh))
 
 
 def lc_condition(m: Multisegment, n: Multisegment) -> bool:
@@ -334,12 +370,8 @@ def lc_condition(m: Multisegment, n: Multisegment) -> bool:
     True iff an injective neighbour-respecting map from X_{m;n} into
     Xt_{m;n} exists (maximum bipartite matching saturates X).
     """
-    X, Xt = link_data(m, n)
-    if not X:
-        return True
-    adj = rel_adjacency(m, n, X, Xt)
-    size, _ = maximum_matching(adj)
-    return size == len(X)
+    adj = link_tables(m, n).adj
+    return maximum_matching(adj)[0] == len(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -426,22 +458,11 @@ def detachable_segments(m: Multisegment) -> list[int]:
     nothing is linked after it (segment i precedes nothing, even after a
     shift down), or nothing links into it.
     """
-    segs = m.segments
-    out = []
-    for i, di in enumerate(segs):
-        first = all(
-            not precedes(di, dj) and not precedes(shift_down(di), dj)
-            for j, dj in enumerate(segs)
-            if j != i
-        )
-        last = all(
-            not precedes(dj, di) and not precedes(shift_down(dj), di)
-            for j, dj in enumerate(segs)
-            if j != i
-        )
-        if first or last:
-            out.append(i + 1)
-    return out
+    X, Xt = link_data(m)
+    links = [(i, j) for i, j in X | Xt if i != j]
+    sources = {i for i, _ in links}
+    targets = {j for _, j in links}
+    return [i for i in range(1, len(m) + 1) if i not in sources or i not in targets]
 
 
 def _witness_valid(

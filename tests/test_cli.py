@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import time
 
 import pytest
@@ -184,3 +185,58 @@ def test_kl_beyond_table_rank_exits_2_quickly(capsys, monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert "S_12" in err and f"MAX_TABLE_RANK = {K.MAX_TABLE_RANK}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decide", "[4,5]+[2,4]+[3]+[1,2]", "--trials", "0"),
+        ("sweep", "gls-stability", "--limit", "300", "--seed", "7", "--trials", "0"),
+    ],
+)
+def test_trials_below_one_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "trials must be at least 1" in err
+
+
+def test_trials_one_still_works(capsys):
+    code, out, _ = run(capsys, "decide", "[4,5]+[2,4]+[3]+[1,2]", "--trials", "1", "--json")
+    assert code == 0 and json.loads(out)["agree"] is True
+    code, out, _ = run(capsys, "sweep", "gls-stability", "--limit", "10", "--trials", "1", "--json")
+    assert code == 0 and json.loads(out.strip().splitlines()[-1])["violations"] == 0
+
+
+def _no_sweep_work(monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *a, **kw: pytest.fail("started a process pool"))
+    monkeypatch.setattr(cli, "_equivalence_instances", lambda k: pytest.fail("built sweep payloads"))
+
+
+def test_par_bound_is_the_cpu_count_but_at_least_2():
+    assert cli.MAX_PAR == max(2, os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("par", ["0", "-5", "max+1", "1000000"])
+def test_par_out_of_range_exits_2_before_any_work(capsys, monkeypatch, par):
+    _no_sweep_work(monkeypatch)
+    if par == "max+1":
+        par = str(cli.MAX_PAR + 1)
+    for which in ("equivalence", "gls-stability"):
+        code, out, err = run(capsys, "sweep", which, "--k", "3", "--par", par)
+        assert code == 2 and out == ""
+        assert f"--par must be between 1 and {cli.MAX_PAR}" in err and f"got {par}" in err
+
+
+@pytest.mark.parametrize("k", ["-1", "9", "20"])
+def test_equivalence_k_out_of_range_exits_2_before_any_work(capsys, monkeypatch, k):
+    _no_sweep_work(monkeypatch)
+    code, out, err = run(capsys, "sweep", "equivalence", "--k", k)
+    assert code == 2 and out == ""
+    assert f"--k must be between 0 and {cli.MAX_EQUIVALENCE_K}" in err and f"got {k}" in err
+
+
+def test_equivalence_k_bounds_are_inclusive(capsys):
+    code, out, _ = run(capsys, "sweep", "equivalence", "--k", "0", "--json")
+    assert code == 0 and json.loads(out.strip().splitlines()[-1])["instances"] == 1
+    code, out, _ = run(capsys, "sweep", "equivalence", "--k", str(cli.MAX_EQUIVALENCE_K), "--limit", "3", "--json")
+    assert code == 0 and json.loads(out.strip().splitlines()[-1])["instances"] == 3

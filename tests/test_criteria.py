@@ -252,6 +252,24 @@ def test_strong_check_by_label_index_matches_all_pairs():
     assert outcomes[True] and outcomes[False]
 
 
+def test_find_strong_matching_builds_its_own_tables():
+    rng = random.Random(3)
+    found = 0
+    for _ in range(300):
+        m = M.random_multisegment(rng, max_segments=6)
+        t = M.link_tables(m)
+        f = C.find_strong_matching(m)
+        assert f == C.find_strong_matching(m, adj=t.adj, labels=t.labels), m
+        if f is None:
+            continue
+        found += 1
+        assert sorted(f) == sorted(t.adj) and len(set(f.values())) == len(f), m
+        assert all(f[x] in t.adj[x] for x in f), m
+        labels = {(x, y): C._edge_label(m, x, y) for x in t.adj for y in t.adj[x]}
+        assert _strong_by_all_pairs(m, f, labels), (m, f)
+    assert found
+
+
 def test_gls_strong_matching_budget():
     # the search uses up its budget, so the rank test proves the condition
     m = parse("[5,6]+[5]+[4,5]+[4]+[4]+[4]+[3,4]+[3]+[3]+[3]+[3]+[2,3]+[2]+[2]+[2]+[1,2]+[1]+[1]+[0]+[0]")
@@ -418,3 +436,70 @@ def test_expansion_preconditions():
         C.grothendieck_expansion(B.akl(4, 2), (1, 2, 3, 4))
     with pytest.raises(ValueError):
         C.grothendieck_expansion(B.bi_sequence((1, 1), (2, 2)), (2, 1))
+
+
+# ---------------------------------------------------------------------------
+# the shape search on its precedence table, against the segment-tuple search
+
+
+def _is_type_4231_by_segments(segs):
+    k = len(segs)
+    if not all(M.precedes(segs[i], segs[i - 1]) for i in range(3, k)):
+        return False
+    if not M.precedes(segs[2], segs[0]):
+        return False
+    return segs[k - 1].a < segs[1].a < segs[k - 2].a
+
+
+def _is_type_3412_by_segments(segs):
+    k = len(segs)
+    if not all(M.precedes(segs[i], segs[i - 1]) for i in range(4, k)):
+        return False
+    if not M.precedes(segs[3], segs[1]):
+        return False
+    l = 1 if k == 4 else k - 2
+    return segs[2].a < segs[k - 1].a < segs[0].a < segs[l].a
+
+
+def _forbidden_type_by_segments(m):
+    k = len(m)
+    for size in range(4, k + 1):
+        for idx in itertools.combinations(range(1, k + 1), size):
+            segs = tuple(m.seg(i) for i in idx)
+            if _is_type_4231_by_segments(segs):
+                return ("4231", idx)
+            if _is_type_3412_by_segments(segs):
+                return ("3412", idx)
+    return None
+
+
+def _random_regular(rng, k):
+    """Distinct ends, and for each end from the lowest up an unused begin at or below it."""
+    ends = sorted(rng.sample(range(2 * k), k))
+    begins = []
+    for b in ends:
+        begins.append(rng.choice([a for a in range(b + 1) if a not in begins]))
+    return Multisegment(zip(begins, ends))
+
+
+def test_forbidden_type_matches_segment_search():
+    kinds = {None: 0, "4231": 0, "3412": 0}
+    for m in regular_instances(6):
+        got = C.has_forbidden_type(m)
+        assert got == _forbidden_type_by_segments(m), m
+        kinds[got and got[0]] += 1
+    rng = random.Random(63)
+    for k in (7, 8):
+        for _ in range(1000):
+            m = _random_regular(rng, k)
+            got = C.has_forbidden_type(m)
+            assert got == _forbidden_type_by_segments(m), m
+            kinds[got and got[0]] += 1
+    assert min(kinds.values()) > 500, kinds
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_gls_check_rejects_trials_below_one(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        C.gls_check(parse("[4,5]+[2,4]+[3]+[1,2]"), trials=trials)
+    assert C.gls_check(parse("[4,5]+[2,4]+[3]+[1,2]"), trials=1)[0] is False

@@ -277,3 +277,122 @@ def test_speh():
     assert M.speh(Segment(3, 3), 3) == parse("[3]+[2]+[1]")
     assert M.speh(Segment(2, 4), 2) == parse("[2,4]+[1,3]")
     assert M.speh(Segment(1, 1), 0) == Multisegment()
+
+
+# ---------------------------------------------------------------------------
+# link_tables against the pairwise construction it replaced
+
+
+def _link_data_by_pairs(m, n):
+    X, Xt = set(), set()
+    for i, di in enumerate(m.segments, start=1):
+        for j, dj in enumerate(n.segments, start=1):
+            if M.precedes(di, dj):
+                X.add((i, j))
+            if M.precedes(M.shift_down(di), dj):
+                Xt.add((i, j))
+    return frozenset(X), frozenset(Xt)
+
+
+def _rel_adjacency_by_scan(m, n, X, Xt):
+    adj = {}
+    for i1, j1 in sorted(X):
+        adj[i1, j1] = [
+            (i2, j2)
+            for i2, j2 in sorted(Xt)
+            if (i1 == i2 and M.precedes(n.seg(j2), n.seg(j1)))
+            or (j1 == j2 and M.precedes(m.seg(i1), m.seg(i2)))
+        ]
+    return adj
+
+
+def _edge_label_by_precedes(m, x, y):
+    (i1, j1), (i2, j2) = x, y
+    if i1 == i2 and M.precedes(m.seg(j2), m.seg(j1)):
+        return (j2, j1)
+    if j1 == j2 and M.precedes(m.seg(i1), m.seg(i2)):
+        return (i1, i2)
+    return None
+
+
+def _assert_tables_match(m, n=None):
+    X, Xt, adj, labels = M.link_tables(m, n)
+    ref_X, ref_Xt = _link_data_by_pairs(m, m if n is None else n)
+    assert (X, Xt) == (ref_X, ref_Xt), (m, n)
+    assert M.link_data(m, n) == (ref_X, ref_Xt)
+    ref_adj = _rel_adjacency_by_scan(m, m if n is None else n, ref_X, ref_Xt)
+    assert list(adj.items()) == list(ref_adj.items()), (m, n)  # key and list order too
+    if n is None:
+        for x, nbrs in adj.items():
+            assert labels[x] == [_edge_label_by_precedes(m, x, y) for y in nbrs], (m, x)
+    return ref_adj
+
+
+def test_link_tables_formula_matches_precedes():
+    # link_tables tests both relations on the ints; one segment each side
+    segs = [Segment(a, b) for a in range(-3, 4) for b in range(a, 4)]
+    for d1 in segs:
+        for d2 in segs:
+            X, Xt, _, _ = M.link_tables(Multisegment([d1]), Multisegment([d2]))
+            assert (X == {(1, 1)}) == M.precedes(d1, d2), (d1, d2)
+            assert (Xt == {(1, 1)}) == M.precedes(M.shift_down(d1), d2), (d1, d2)
+
+
+def test_link_tables_match_pairwise_construction_on_sweep_instances():
+    count = 0
+    for k in range(1, 7):
+        for A in B.normalized_bisequences(k):
+            s0 = B.sigma0(A)
+            for sigma in P.all_perms(k):
+                if P.bruhat_leq(s0, sigma):
+                    _assert_tables_match(B.multisegment_of(A, sigma))
+                    count += 1
+    assert count == 11464
+
+
+def test_link_tables_match_pairwise_construction_on_randoms():
+    rng = random.Random(61)
+    regular = 0
+    for _ in range(2000):
+        m = M.random_multisegment(rng, max_segments=8, lo=0, hi=7, max_len=5)
+        _assert_tables_match(m)
+        regular += m.is_regular
+    assert 0 < regular < 2000
+
+
+def test_link_tables_match_pairwise_construction_on_pairs():
+    rng = random.Random(62)
+    for _ in range(500):
+        m = M.random_multisegment(rng, max_segments=5, lo=0, hi=6, max_len=4)
+        n = M.random_multisegment(rng, max_segments=5, lo=0, hi=6, max_len=4)
+        ref_adj = _assert_tables_match(m, n)
+        saturated = M.maximum_matching(ref_adj)[0] == len(ref_adj)
+        assert M.lc_condition(m, n) == saturated, (m, n)
+
+
+def _detachable_by_pairs(m):
+    segs = m.segments
+
+    def links(d1, d2):
+        return M.precedes(d1, d2) or M.precedes(M.shift_down(d1), d2)
+
+    return [
+        i + 1
+        for i, di in enumerate(segs)
+        if not any(links(di, dj) for j, dj in enumerate(segs) if j != i)
+        or not any(links(dj, di) for j, dj in enumerate(segs) if j != i)
+    ]
+
+
+def test_detachable_segments_match_pairwise_scan():
+    rng = random.Random(63)
+    for _ in range(2000):
+        m = M.random_multisegment(rng, max_segments=8, lo=0, hi=7, max_len=5)
+        assert M.detachable_segments(m) == _detachable_by_pairs(m), m
+    for k in range(1, 6):
+        for A in B.normalized_bisequences(k):
+            s0 = B.sigma0(A)
+            for sigma in P.all_perms(k):
+                if P.bruhat_leq(s0, sigma):
+                    m = B.multisegment_of(A, sigma)
+                    assert M.detachable_segments(m) == _detachable_by_pairs(m), m
