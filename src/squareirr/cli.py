@@ -287,6 +287,8 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"--par must be between 1 and {MAX_PAR}, got {args.par}")
     if args.which == "equivalence" and not 0 <= args.k <= MAX_EQUIVALENCE_K:
         raise ValueError(f"--k must be between 0 and {MAX_EQUIVALENCE_K} for the equivalence sweep, got {args.k}")
+    if args.which in ("equivalence", "gls-stability") and args.trials < 1:
+        raise ValueError(f"trials must be at least 1, got {args.trials}")
     return {
         "equivalence": _sweep_equivalence,
         "involution": _sweep_involution,

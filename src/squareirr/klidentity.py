@@ -200,15 +200,21 @@ _buckets_cache: dict[tuple[int, int], list[tuple[CosetMatrix, int, list[int]]]] 
 def _group_buckets(n: int, m: int) -> list[tuple[CosetMatrix, int, list[int]]]:
     """
     Every coset matrix M of S_n, sorted, as (M, index of min_rep(M), indices
-    of the members of M's double coset).
+    of the members of M's double coset, increasing).
     """
     got = _buckets_cache.get((n, m))
     if got is None:
         ctx = K._ctx(n)
+        # M depends on w only through the sequence of its values' blocks
+        # (bytes, by translate): group by that first, then M once per group
+        block = bytes([0, *(v // m for v in range(n))]).ljust(256, b"\0")
+        by_blocks: dict[bytes, list[int]] = {}
+        for idx, key in enumerate(map(bytes.translate, map(bytes, ctx.perms), itertools.repeat(block))):
+            by_blocks.setdefault(key, []).append(idx)
         members: dict[CosetMatrix, list[int]] = {}
-        for idx, w in enumerate(ctx.perms):
-            members.setdefault(coset_matrix(w, m), []).append(idx)
-        got = [(M, ctx.index[min_rep(M)], ws) for M, ws in sorted(members.items())]
+        for ws in by_blocks.values():
+            members.setdefault(coset_matrix(ctx.perms[ws[0]], m), []).extend(ws)
+        got = [(M, ctx.index[min_rep(M)], sorted(ws)) for M, ws in sorted(members.items())]
         _buckets_cache[(n, m)] = got
     return got
 
@@ -301,7 +307,7 @@ def _require_hypotheses(sigma0: Perm, sigma: Perm) -> None:
 
 
 def _coset_sums(sigma0: Perm, sigma: Perm, m: int) -> list[CosetCheck]:
-    # col holds every P_{w,st} != 1 with w <= st, so the leq gate and the
+    # col holds every P_{w,st} != 1 with w <= st, so the order test and the
     # default 1 give P_{w,st} exactly
     k = len(sigma)
     n = m * k
@@ -309,14 +315,15 @@ def _coset_sums(sigma0: Perm, sigma: Perm, m: int) -> list[CosetCheck]:
     st_idx = ctx.index[P.inflate(sigma, m)]
     st0_idx = ctx.index[P.inflate(sigma0, m)]
     col = ctx.col(st_idx)
-    lengths = ctx.length
+    lengths, rank, HI = ctx.length, ctx.rank, ctx.HI
+    lst, rst = lengths[st_idx], rank[st_idx]
     checks = []
     for M, rep_idx, members in _group_buckets(n, m):
         if not (ctx.leq(st0_idx, rep_idx) and ctx.leq(rep_idx, st_idx)):
             continue
         lhs = 0
         for w_idx in members:
-            if ctx.leq(w_idx, st_idx):
+            if lengths[w_idx] <= lst and ((rank[w_idx] | HI) - rst) & HI == HI:  # ctx.leq(w_idx, st_idx)
                 val = K.packed_at_one(col.get(w_idx, 1))
                 lhs += -val if lengths[w_idx] % 2 else val
         if m == 2:

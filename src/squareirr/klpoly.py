@@ -294,31 +294,28 @@ class _SymContext:
             return self.conj[x]
         return self.conj[self.inv[x]]
 
-    def interval_below(self, w: int) -> list[int]:
+    def _lower_set(self, w: int) -> set[int]:
         """
-        All x <= w, sorted by decreasing length, ties by increasing index.
-
-        Built by the lifting property (Bjorner-Brenti, Combinatorics of
-        Coxeter Groups, Prop. 2.2.7): for a right descent s of w,
-        x <= w iff min(x, xs) <= ws, so [e, w] = [e, ws] u [e, ws]s.  Peel
-        right descents of w down to e, then grow {e} back up along that
+        The set of all x <= w, built by the lifting property (Bjorner-Brenti,
+        Combinatorics of Coxeter Groups, Prop. 2.2.7): for a right descent s
+        of w, x <= w iff min(x, xs) <= ws, so [e, w] = [e, ws] u [e, ws]s.
+        Peel right descents of w down to e, then grow {e} back up along that
         reduced word.
         """
-        perms = self.perms
         word = []
-        v = w
-        for _ in range(self.length[w]):
-            p = perms[v]
+        while self.length[w]:
+            p = self.perms[w]
             s = next(i for i in range(self.n - 1) if p[i] > p[i + 1])
             word.append(s)
-            v = self.rmul[s][v]
-        below = {v}
+            w = self.rmul[s][w]
+        below = {w}
         for s in reversed(word):
-            rmul_s = self.rmul[s]
-            below |= {rmul_s[x] for x in below}
-        out = sorted(below)
-        out.sort(key=self.length.__getitem__, reverse=True)
-        return out
+            below |= set(map(self.rmul[s].__getitem__, below))
+        return below
+
+    def interval_below(self, w: int) -> list[int]:
+        """All x <= w, sorted by decreasing length, ties by increasing index."""
+        return sorted(sorted(self._lower_set(w)), key=self.length.__getitem__, reverse=True)
 
     def col(self, w: int) -> dict[int, int]:
         """Sparse column {x: packed P_{x,w}} holding only entries != 1."""
@@ -359,15 +356,12 @@ class _SymContext:
             self._mus[v] = out
             return out
 
-    def _getp(self, x: int, v: int, colv: dict[int, int]) -> int:
-        """Packed P_{x,v} given v's column."""
-        if x == v:
-            return _PONE
-        if not self.leq(x, v):
-            return _PZERO
-        return colv.get(x, _PONE)
-
     def _build(self, w: int) -> dict[int, int]:
+        """
+        Column of w from that of v = ws, s the first right descent of w, in
+        one unordered pass over [e, v]: by lifting, the x <= w with xs < x
+        are the ys > y for y in [e, v], and P_{y,w} = P_{ys,w}.
+        """
         if self.length[w] <= 2 or self.smooth(w):
             return {}
         word = self.perms[w]
@@ -375,39 +369,35 @@ class _SymContext:
         rmul_s = self.rmul[s]
         v = rmul_s[w]
         colv = self.col(v)
+        below = self._lower_set(v)
         lw = self.length[w]
-        length = self.length
+        length, rank, HI = self.length, self.rank, self.HI
         # mu terms of v whose index has s as a right descent, with column handles
         terms = []
         for z, mu in self.mu_list(v):
-            pz = self.perms[z]
-            if pz[s] > pz[s + 1]:
-                terms.append((z, mu << (_SHIFT * ((lw - length[z]) // 2)), length[z], self.col(z)))
+            if length[rmul_s[z]] < length[z]:
+                terms.append((z, mu << (_SHIFT * ((lw - length[z]) // 2)), length[z], rank[z], self.col(z)))
         out: dict[int, int] = {}
-        for x in self.interval_below(w):
+        for y in below:
+            x = rmul_s[y]
             lx = length[x]
-            if lw - lx <= 2:
+            if lx < length[y] or lw - lx <= 2:
                 continue
-            xs = rmul_s[x]
-            if length[xs] > lx:
-                p = out.get(xs, _PONE)  # P_{x,w} = P_{xs,w}, already computed
-                if p != _PONE:
-                    out[x] = p
-                continue
-            acc = self._getp(xs, v, colv) + (self._getp(x, v, colv) << _SHIFT)
-            for z, shifted_mu, lz, colz in terms:
+            acc = colv.get(y, _PONE)
+            if x in below:
+                acc += colv.get(x, _PONE) << _SHIFT
+            rx = rank[x] | HI
+            for z, shifted_mu, lz, rz, colz in terms:
                 if lz < lx:
                     break  # terms sorted by decreasing length
-                if x == z:
-                    acc -= shifted_mu
-                elif self.leq(x, z):
+                if (rx - rz) & HI == HI:  # x <= z; with lz == lx only x == z passes
                     acc -= shifted_mu * colz.get(x, _PONE)
             if acc != _PONE:
                 # constant term 1 and bounded degree; violations mean limb
                 # corruption in the packed arithmetic
                 if acc & _MASK != 1 or acc.bit_length() > _SHIFT * (lw // 2 + 1):
                     raise AssertionError(f"corrupt polynomial for pair {x}, {w}")
-                out[x] = acc
+                out[x] = out[y] = acc
         return out
 
     def kl_packed(self, x: int, w: int) -> int:
@@ -693,16 +683,28 @@ def _read_exact(fh, size: int) -> bytes:
     return got
 
 
+def _index_length(n: int, w: int) -> int:
+    """Length of the permutation with index w in S_n: the digit sum of w in the factorial base."""
+    total = 0
+    for base in range(2, n + 1):
+        w, digit = divmod(w, base)
+        total += digit
+    return total
+
+
 def load_cache(path: str) -> int:
     """
     Load a cache written by :func:`save_cache`; returns entries loaded.
 
     Installs nothing unless the whole file decodes: a short read, a record
-    for S_n with n > MAX_TABLE_RANK, or a stored polynomial whose constant
-    term is not 1 (every column entry is P_{x,w} != 1 for some x <= w),
-    raises ValueError.
+    for S_n with n > MAX_TABLE_RANK, an index x or w of n! or more, or a
+    stored polynomial whose constant term is not 1 or whose degree exceeds
+    (l(w) - l(x) - 1)/2 (every column entry is P_{x,w} != 1 for some x < w)
+    raises ValueError.  Lengths are read off the indices, so no S_n is built.
+    A record that passes these checks but holds a wrong value still loads.
     """
     columns = []
+    lengths_in: dict[int, dict[int, int]] = {}  # n -> {x: l(x)}, as indices recur across columns
     with open(path, "rb") as fh:
         if fh.read(4) != _CACHE_MAGIC:
             raise ValueError("not a KL cache file")
@@ -718,11 +720,22 @@ def load_cache(path: str) -> int:
             n, w, count = struct.unpack("<BII", head)
             if n > MAX_TABLE_RANK:
                 raise ValueError(f"KL cache record for S_{n} exceeds MAX_TABLE_RANK")
+            N = math.factorial(n)
+            if w >= N:
+                raise ValueError(f"corrupt KL cache record ({n}, {w}): index beyond S_{n}")
+            lw = _index_length(n, w)
+            lengths = lengths_in.setdefault(n, {})
             col = {}
             for _ in range(count):
                 x, blen = struct.unpack("<IH", _read_exact(fh, 6))
                 packed = int.from_bytes(_read_exact(fh, blen), "little")
-                if packed & _MASK != 1:
+                lx = lengths.get(x)
+                if lx is None:
+                    if x >= N:
+                        raise ValueError(f"corrupt KL cache record ({n}, {w}, {x}): index beyond S_{n}")
+                    lx = lengths[x] = _index_length(n, x)
+                # 2 deg <= l(w) - l(x) - 1, which also forces l(x) < l(w)
+                if packed & _MASK != 1 or lx + 2 * ((packed.bit_length() - 1) // _SHIFT) >= lw:
                     raise ValueError(f"corrupt KL cache record ({n}, {w}, {x})")
                 col[x] = packed
             columns.append((n, w, col))

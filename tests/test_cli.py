@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import struct
 import time
 
 import pytest
@@ -240,3 +241,43 @@ def test_equivalence_k_bounds_are_inclusive(capsys):
     assert code == 0 and json.loads(out.strip().splitlines()[-1])["instances"] == 1
     code, out, _ = run(capsys, "sweep", "equivalence", "--k", str(cli.MAX_EQUIVALENCE_K), "--limit", "3", "--json")
     assert code == 0 and json.loads(out.strip().splitlines()[-1])["instances"] == 3
+
+
+@pytest.mark.parametrize("which", ["equivalence", "gls-stability"])
+@pytest.mark.parametrize("par", ["1", "2"])
+def test_sweep_trials_below_one_exits_2_before_any_work(capsys, monkeypatch, which, par):
+    _no_sweep_work(monkeypatch)
+    monkeypatch.setattr(C, "gls_check", lambda *a, **kw: pytest.fail("ran gls_check"))
+    for trials in ("0", "-1"):
+        code, out, err = run(capsys, "sweep", which, "--k", "7", "--trials", trials, "--par", par)
+        assert code == 2 and out == ""
+        assert f"trials must be at least 1, got {trials}" in err
+
+
+def test_sweeps_without_trials_ignore_it(capsys):
+    for which in ("involution", "minimal-unbalanced"):
+        code, out, _ = run(capsys, "sweep", which, "--k", "3", "--limit", "2", "--trials", "0", "--json")
+        assert code == 0 and json.loads(out.strip().splitlines()[-1])["instances"] == 2
+
+
+def _forge_kl_cache(cache, n, w, x, packed):
+    """A one-entry cache for the column (n, w); indices as save_cache writes them."""
+    blob = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    cache.write_bytes(
+        b"SQKL" + struct.pack("<H", 1) + struct.pack("<BII", n, w, 1) + struct.pack("<IH", x, len(blob)) + blob
+    )
+
+
+@pytest.mark.parametrize("case", ["degree", "index"])
+def test_kl_cache_record_failing_its_checks_exits_2(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(K, "_contexts", {})
+    ctx = K._ctx(4)
+    x, w = ctx.index[(1, 3, 2, 4)], ctx.index[(3, 4, 1, 2)]
+    cache = tmp_path / "kl.bin"
+    if case == "degree":
+        _forge_kl_cache(cache, 4, w, x, 1 + (1 << 16) + (1 << 32))  # 1 + q + q^2
+    else:
+        _forge_kl_cache(cache, 4, w, ctx.N, 1)
+    code, out, err = run(capsys, "kl", "1324", "3412", "--cache-file", str(cache))
+    assert code == 2 and out == ""
+    assert "corrupt KL cache record" in err

@@ -383,3 +383,16 @@ def test_group_buckets_hold_min_rep_index(n, m):
     for M, rep_idx, members in buckets:
         assert rep_idx == ctx.index[KI.min_rep(M)]
         assert all(KI.coset_matrix(ctx.perms[i], m) == M for i in members)
+
+
+@pytest.mark.parametrize("n,m", [(6, 2), (8, 2)])
+def test_group_buckets_match_per_permutation_grouping(n, m, monkeypatch):
+    # the coset_matrix call per permutation _group_buckets replaced, as the
+    # reference; a fresh bucket cache forces a rebuild
+    monkeypatch.setattr(KI, "_buckets_cache", {})
+    ctx = K._ctx(n)
+    members = {}
+    for idx, w in enumerate(ctx.perms):
+        members.setdefault(KI.coset_matrix(w, m), []).append(idx)
+    want = [(M, ctx.index[KI.min_rep(M)], ws) for M, ws in sorted(members.items())]
+    assert KI._group_buckets(n, m) == want

@@ -275,3 +275,112 @@ def test_cache_record_beyond_table_rank_is_rejected(tmp_path, monkeypatch):
         K.load_cache(os.fspath(path))
     assert w not in K._ctx(4)._cols
     assert set(K._contexts) == {4}
+
+
+def test_recursion_matches_oracle_on_every_comparable_pair_of_s5():
+    perms = list(P.all_perms(5))
+    pairs = [(x, w) for w in perms for x in perms if P.bruhat_leq(x, w)]
+    assert len(pairs) == 3781
+    for x, w in pairs:
+        assert K.kl_polynomial(x, w) == K.kl_oracle(x, w), (x, w)
+
+
+def _build_by_element_scan(ctx, w):
+    """
+    The element-by-element column build _build replaced, kept as the
+    reference: walks the sorted [e, w] and tests Bruhat order per term.
+    """
+    if ctx.length[w] <= 2 or ctx.smooth(w):
+        return {}
+    word = ctx.perms[w]
+    s = next(i for i in range(ctx.n - 1) if word[i] > word[i + 1])
+    v = ctx.rmul[s][w]
+    colv = ctx.col(v)
+    lw = ctx.length[w]
+
+    def getp(x):
+        if x == v:
+            return 1
+        return colv.get(x, 1) if ctx.leq(x, v) else 0
+
+    terms = []
+    for z, mu in ctx.mu_list(v):
+        pz = ctx.perms[z]
+        if pz[s] > pz[s + 1]:
+            terms.append((z, mu << (16 * ((lw - ctx.length[z]) // 2)), ctx.length[z], ctx.col(z)))
+    out = {}
+    for x in ctx.interval_below(w):
+        lx = ctx.length[x]
+        if lw - lx <= 2:
+            continue
+        xs = ctx.rmul[s][x]
+        if ctx.length[xs] > lx:
+            if out.get(xs, 1) != 1:
+                out[x] = out[xs]
+            continue
+        acc = getp(xs) + (getp(x) << 16)
+        for z, shifted_mu, lz, colz in terms:
+            if lz < lx:
+                break
+            if x == z:
+                acc -= shifted_mu
+            elif ctx.leq(x, z):
+                acc -= shifted_mu * colz.get(x, 1)
+        if acc != 1:
+            out[x] = acc
+    return out
+
+
+def _reference_context(n):
+    ctx = K._SymContext(n)
+    ctx._build = lambda w: _build_by_element_scan(ctx, w)
+    return ctx
+
+
+def test_build_over_lower_interval_matches_element_scan():
+    # every column of S_6, then 200 seeded columns of S_7 and 30 of S_8; each
+    # side builds its own sub-columns, and every column either side built is
+    # compared
+    rng = random.Random(6)
+    for n, ws in ((6, range(720)), (7, rng.sample(range(5040), 200)), (8, rng.sample(range(40320), 30))):
+        ref, ctx = _reference_context(n), K._SymContext(n)
+        for w in ws:
+            assert ctx.col(w) == ref.col(w), (n, w)
+        assert ctx._cols == ref._cols, n
+
+
+def _forged_cache(path, n, w, x, packed):
+    blob = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    path.write_bytes(
+        b"SQKL" + struct.pack("<H", 1) + struct.pack("<BII", n, w, 1) + struct.pack("<IH", x, len(blob)) + blob
+    )
+    return os.fspath(path)
+
+
+def test_cache_index_length_is_the_factorial_digit_sum():
+    for n in range(8):
+        ctx = K._ctx(n)
+        assert [K._index_length(n, w) for w in range(ctx.N)] == ctx.length
+
+
+def test_cache_record_beyond_degree_bound_or_group_is_rejected(tmp_path, monkeypatch):
+    x = K._ctx(4).index[(1, 3, 2, 4)]  # length 1
+    w = K._ctx(4).index[(3, 4, 1, 2)]  # length 4
+    # checked from the indices alone: no S_n context is built
+    monkeypatch.setattr(K, "_contexts", {})
+    monkeypatch.setattr(K, "_SymContext", _refuse_to_build)
+    q = 1 << 16
+    # 1 + q + q^2 has degree 2 > (4 - 1 - 1)/2; x = w and x above w fail the
+    # same bound; then indices of 4! or more, as x and as w
+    for n, ww, xx, packed in (
+        (4, w, x, 1 + q + q * q),
+        (4, w, w, 1 + q),
+        (4, x, w, 1),
+        (4, w, 24, 1),
+        (4, 24, x, 1),
+        (4, 2**32 - 1, 0, 1),
+    ):
+        path = _forged_cache(tmp_path / "forged.cache", n, ww, xx, packed)
+        with pytest.raises(ValueError, match="corrupt KL cache record"):
+            K.load_cache(path)
+    assert K._contexts == {}
