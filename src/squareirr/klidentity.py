@@ -204,34 +204,18 @@ def _group_buckets(n: int, m: int) -> list[tuple[CosetMatrix, int, list[int]]]:
     """
     got = _buckets_cache.get((n, m))
     if got is None:
-        ctx = K._ctx(n)
         # M depends on w only through the sequence of its values' blocks
         # (bytes, by translate): group by that first, then M once per group
         block = bytes([0, *(v // m for v in range(n))]).ljust(256, b"\0")
         by_blocks: dict[bytes, list[int]] = {}
-        for idx, key in enumerate(map(bytes.translate, map(bytes, ctx.perms), itertools.repeat(block))):
+        for idx, key in enumerate(map(bytes.translate, map(bytes, P.all_perms(n)), itertools.repeat(block))):
             by_blocks.setdefault(key, []).append(idx)
         members: dict[CosetMatrix, list[int]] = {}
         for ws in by_blocks.values():
-            members.setdefault(coset_matrix(ctx.perms[ws[0]], m), []).extend(ws)
-        got = [(M, ctx.index[min_rep(M)], sorted(ws)) for M, ws in sorted(members.items())]
+            members.setdefault(coset_matrix(P.from_lehmer(n, ws[0]), m), []).extend(ws)
+        got = [(M, P.lehmer_index(min_rep(M)), sorted(ws)) for M, ws in sorted(members.items())]
         _buckets_cache[(n, m)] = got
     return got
-
-
-def _block_subgroup(k: int, m: int) -> list[tuple[Perm, int]]:
-    """All elements of the block-diagonal subgroup of S_{mk}, with signs."""
-    blocks = list(itertools.permutations(range(1, m + 1)))
-    out = []
-    for combo in itertools.product(blocks, repeat=k):
-        word: list[int] = []
-        sgn = 1
-        for i, pi in enumerate(combo):
-            base = m * i
-            word.extend(base + v for v in pi)
-            sgn *= P.sign(pi)
-        out.append((tuple(word), sgn))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +296,8 @@ def _coset_sums(sigma0: Perm, sigma: Perm, m: int) -> list[CosetCheck]:
     k = len(sigma)
     n = m * k
     ctx = K._ctx(n)
-    st_idx = ctx.index[P.inflate(sigma, m)]
-    st0_idx = ctx.index[P.inflate(sigma0, m)]
+    st_idx = P.lehmer_index(P.inflate(sigma, m))
+    st0_idx = P.lehmer_index(P.inflate(sigma0, m))
     col = ctx.col(st_idx)
     lengths, rank, HI = ctx.length, ctx.rank, ctx.HI
     lst, rst = lengths[st_idx], rank[st_idx]
@@ -335,22 +319,28 @@ def _coset_sums(sigma0: Perm, sigma: Perm, m: int) -> list[CosetCheck]:
 
 
 def _parabolic_sums(sigma0: Perm, sigma: Perm, m: int) -> list[ParityCheck]:
+    # spt is the shortest element of spt.H, H the block subgroup: grow the coset
+    # from spt along a reduced word of H's longest element (s_0..s_{m-2} .. s_0
+    # in each block), as _lower_set grows [e, w]; x has sign (-1)^(l(x) - l(spt))
     k = len(sigma)
     n = m * k
     ctx = K._ctx(n)
-    st_idx = ctx.index[P.inflate(sigma, m)]
+    st_idx = P.lehmer_index(P.inflate(sigma, m))
     col = ctx.col(st_idx)
-    subgroup = _block_subgroup(k, m)
+    word = [ctx.rmul[b + i] for b in range(0, n, m) for j in range(m - 1, 0, -1) for i in range(j)]
     out = []
     for sp in P.all_perms(k):
         if not (P.bruhat_leq(sigma0, sp) and P.bruhat_leq(sp, sigma)):
             continue
-        spt = P.inflate(sp, m)
+        spt_idx = P.lehmer_index(P.inflate(sp, m))
+        coset = {spt_idx}
+        for rmul_s in word:
+            coset |= set(map(rmul_s.__getitem__, coset))
         total = 0
-        for h, sgn in subgroup:
-            w_idx = ctx.index[P.compose(spt, h)]
+        for w_idx in coset:
             if ctx.leq(w_idx, st_idx):
-                total += sgn * K.packed_at_one(col.get(w_idx, 1))
+                val = K.packed_at_one(col.get(w_idx, 1))
+                total += -val if (ctx.length[w_idx] - ctx.length[spt_idx]) % 2 else val
         out.append(ParityCheck(sp, total))
     return out
 

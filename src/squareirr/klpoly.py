@@ -11,12 +11,13 @@ Two independent computation routes:
   It shares no code with the recursion and serves as a cross-check
   (small ranks only).
 
-Internal representations: group elements are indices into the
-lexicographically sorted list of S_n; polynomials in the recursion are
-nonneg-coefficient integers packed 16 bits per degree, which makes addition
-and shifting single integer operations.  Coefficients are exact (Python
-integers); packing is valid because coefficients at these ranks stay far
-below 2**16 and every subtraction has a coefficientwise-nonnegative result.
+Internal representations: group elements are their indices in the
+lexicographic order of S_n (``perm.lehmer_index``); polynomials in the
+recursion are nonneg-coefficient integers packed 16 bits per degree, which
+makes addition and shifting single integer operations.  Coefficients are
+exact (Python integers); packing is valid because coefficients at these
+ranks stay far below 2**16 and every subtraction has a
+coefficientwise-nonnegative result.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import struct
 import threading
 from typing import Iterable, Optional
 
-from .perm import Perm, check_permutation
+from .perm import Perm, apply_transposition, check_permutation, from_lehmer, is_smooth, lehmer_code, lehmer_index
 
 _SHIFT = 16
 _MASK = 0xFFFF
@@ -127,9 +128,9 @@ def _concat_maps(pairs) -> list:
     return out
 
 
-def _index_tables(perms: list[Perm], n: int) -> tuple:
-    """``index``, ``length``, ``rmul``, ``lmul``, ``inv`` and ``conj``; see _SymContext."""
-    ints = list(range(len(perms)))
+def _index_tables(n: int) -> tuple:
+    """``length``, ``rmul``, ``lmul``, ``inv`` and ``conj``; see _SymContext."""
+    ints = list(range(math.factorial(n)))
     length, rmul, lmul, inv, ins = [0], [], [], [0], [[0]]  # S_1; ins[a] is indexed by S_{m-1}
     for m in range(2, n + 1):
         f0, f1 = math.factorial(m - 1), math.factorial(m - 2)
@@ -156,10 +157,10 @@ def _index_tables(perms: list[Perm], n: int) -> tuple:
         inv = _concat_maps((t.__getitem__, inv) for t in ins)
     rev = inv[::-1]
     conj = list(map(rev.__getitem__, rev))
-    return dict(zip(perms, ints)), length, rmul, lmul, inv, conj
+    return length, rmul, lmul, inv, conj
 
 
-def _rank_table(perms: list[Perm], n: int) -> list[int]:
+def _rank_table(n: int) -> list[int]:
     """``rank``; see _SymContext."""
     # term[k][v]: one in each cell (i, j) with i >= k and j >= v - 1
     term = [
@@ -175,14 +176,15 @@ def _rank_table(perms: list[Perm], n: int) -> list[int]:
     bottom = int.from_bytes(bytes(n * h) + b"\xff" * (n * (n - h)), "little")
     tails: dict[Perm, list[int]] = {}
     rank: list[int] = []
-    for w in range(0, len(perms), math.factorial(n - h)):
-        p = perms[w]  # the first permutation with head p[:h], so its tail is increasing
-        head = sum(map(list.__getitem__, term, p[:h]))
-        sums = tails.get(p[h:])
+    # heads in lexicographic order; each runs through its (n - h)! tails in order
+    for p in itertools.permutations(range(1, n + 1), h):
+        head = sum(map(list.__getitem__, term, p))
+        tail = tuple(v for v in range(1, n + 1) if v not in p)
+        sums = tails.get(tail)
         if sums is None:
-            sums = tails[p[h:]] = [
+            sums = tails[tail] = [
                 (head + sum(map(list.__getitem__, term[h:], q))) & bottom
-                for q in itertools.permutations(p[h:])
+                for q in itertools.permutations(tail)
             ]
         rank += map((head & top).__or__, sums)
     return rank
@@ -192,11 +194,13 @@ class _SymContext:
     """
     Indexed S_n with multiplication tables and the column cache.
 
-    ``perms`` lists S_n in lexicographic order, so the index of p is its
-    Lehmer code read in the factorial base: w = sum_k c_k (n-1-k)!, where c_k
-    counts the entries after position k that are smaller than p[k], and
-    length[w] = sum_k c_k.  rmul[i][w] swaps positions i, i+1 (0-based),
-    lmul[i][w] swaps the values i+1, i+2.
+    An element is its index w in the lexicographic order of S_n, which is its
+    Lehmer code read in the factorial base (``perm.lehmer_index`` and
+    ``perm.from_lehmer``): w = sum_k c_k (n-1-k)!, where c_k counts the
+    entries after position k that are smaller than p[k], and length[w] =
+    sum_k c_k.  rmul[i][w] swaps positions i, i+1 (0-based), lmul[i][w]
+    swaps the values i+1, i+2; so i is a right (left) descent of w iff
+    rmul[i][w] (lmul[i][w]) is shorter than w.
 
     The tables are built from that layout with no per-permutation work, by
     recursion on m = 2..n over the first digit: w = c_0 (m-1)! + r splits
@@ -218,27 +222,26 @@ class _SymContext:
     * conj[w] = inv[N-1-inv[N-1-w]], because complementing the values maps
       index w to N-1-w.
 
-    Every index in these tables is an object of one list of the N indices,
-    which also holds the values of ``index``: the tables slice it or map
-    through it, so an entry costs a pointer and not a fresh integer object.
+    Every index in these tables is an object of one list of the N indices:
+    the tables slice it or map through it, so an entry costs a pointer and
+    not a fresh integer object.
 
     rank[w] packs the rank matrix of p 8 bits per cell, row-major: cell
     (i, j) counts the k <= i with p[k] <= j + 1, a sum over k of a term fixed
     by (k, p[k]).  Split p into a head p[:h] and a tail of the last n - h
     entries: rows below h depend on the head alone, the other rows on the
     tail alone (its values fix those of the head), so each head's rows and
-    each tail's rows are summed once and joined by a bitwise or.
+    each tail's rows are summed once and joined by a bitwise or.  The heads
+    come from itertools.permutations, which is lexicographic too.
     """
 
     def __init__(self, n: int):
         self.n = n
-        perms = list(itertools.permutations(range(1, n + 1)))
-        self.perms = perms
-        self.N = len(perms)
+        self.N = math.factorial(n)
         # two helpers, so that the working lists of the first are freed
         # before the rank integers are allocated (peak RSS)
-        self.index, self.length, self.rmul, self.lmul, self.inv, self.conj = _index_tables(perms, n)
-        self.rank = _rank_table(perms, n)
+        self.length, self.rmul, self.lmul, self.inv, self.conj = _index_tables(n)
+        self.rank = _rank_table(n)
         self.HI = int.from_bytes(b"\x80" * (n * n), "little")
         self._cols: dict[int, dict[int, int]] = {}
         self._mus: dict[int, list[tuple[int, int]]] = {}
@@ -246,53 +249,29 @@ class _SymContext:
         self._lock = threading.RLock()
 
     def leq(self, x: int, w: int) -> bool:
-        """x <= w in Bruhat order."""
-        if x == w:
-            return True
-        if self.length[x] >= self.length[w]:
-            return False
-        rx = self.rank[x]
-        rw = self.rank[w]
-        return ((rx | self.HI) - rw) & self.HI == self.HI
+        """x <= w in Bruhat order: x = w, or x shorter with r_w <= r_x cell by cell."""
+        HI = self.HI
+        return x == w or (self.length[x] < self.length[w] and ((self.rank[x] | HI) - self.rank[w]) & HI == HI)
 
     def smooth(self, w: int) -> bool:
         got = self._smooth.get(w)
         if got is None:
-            p = self.perms[w]
-            got = True
-            for a, b, c, d in itertools.combinations(range(self.n), 4):
-                pa, pb, pc, pd = p[a], p[b], p[c], p[d]
-                # patterns 4231 and 3412
-                if (pd < pb < pc < pa) or (pc < pd < pa < pb):
-                    got = False
-                    break
-            self._smooth[w] = got
+            got = self._smooth[w] = is_smooth(from_lehmer(self.n, w))
         return got
 
     def covers(self, v: int) -> list[int]:
         """Lower covers of v in Bruhat order."""
-        p = self.perms[v]
+        p = from_lehmer(self.n, v)
         out = []
         for i, j in itertools.combinations(range(self.n), 2):
             if p[i] > p[j] and not any(p[j] < p[l] < p[i] for l in range(i + 1, j)):
-                q = list(p)
-                q[i], q[j] = q[j], q[i]
-                out.append(self.index[tuple(q)])
+                out.append(lehmer_index(apply_transposition(p, i + 1, j + 1)))
         return out
 
     def _canon(self, w: int) -> tuple[int, int]:
         """Smallest index among the four symmetry variants, with its tag."""
         iw = self.inv[w]
         return min((w, 0), (iw, 1), (self.conj[w], 2), (self.conj[iw], 3))
-
-    def _tx(self, x: int, tag: int) -> int:
-        if tag == 0:
-            return x
-        if tag == 1:
-            return self.inv[x]
-        if tag == 2:
-            return self.conj[x]
-        return self.conj[self.inv[x]]
 
     def _lower_set(self, w: int) -> set[int]:
         """
@@ -303,14 +282,14 @@ class _SymContext:
         reduced word.
         """
         word = []
-        while self.length[w]:
-            p = self.perms[w]
-            s = next(i for i in range(self.n - 1) if p[i] > p[i + 1])
-            word.append(s)
-            w = self.rmul[s][w]
+        length = self.length
+        while length[w]:
+            rmul_s = next(r for r in self.rmul if length[r[w]] < length[w])
+            word.append(rmul_s)
+            w = rmul_s[w]
         below = {w}
-        for s in reversed(word):
-            below |= set(map(self.rmul[s].__getitem__, below))
+        for rmul_s in reversed(word):
+            below |= set(map(rmul_s.__getitem__, below))
         return below
 
     def interval_below(self, w: int) -> list[int]:
@@ -329,7 +308,8 @@ class _SymContext:
             wc, tag = self._canon(w)
             if wc != w:
                 base = self.col(wc)
-                out = {self._tx(x, tag): p for x, p in base.items()}
+                keys = map(self.inv.__getitem__, base) if tag & 1 else base
+                out = dict(zip(map(self.conj.__getitem__, keys) if tag & 2 else keys, base.values()))
             else:
                 out = self._build(w)
             self._cols[w] = out
@@ -362,16 +342,14 @@ class _SymContext:
         one unordered pass over [e, v]: by lifting, the x <= w with xs < x
         are the ys > y for y in [e, v], and P_{y,w} = P_{ys,w}.
         """
-        if self.length[w] <= 2 or self.smooth(w):
+        length, rank, HI = self.length, self.rank, self.HI
+        lw = length[w]
+        if lw <= 2 or self.smooth(w):
             return {}
-        word = self.perms[w]
-        s = next(i for i in range(self.n - 1) if word[i] > word[i + 1])
-        rmul_s = self.rmul[s]
+        rmul_s = next(r for r in self.rmul if length[r[w]] < lw)
         v = rmul_s[w]
         colv = self.col(v)
         below = self._lower_set(v)
-        lw = self.length[w]
-        length, rank, HI = self.length, self.rank, self.HI
         # mu terms of v whose index has s as a right descent, with column handles
         terms = []
         for z, mu in self.mu_list(v):
@@ -405,29 +383,19 @@ class _SymContext:
             return _PONE
         if not self.leq(x, w):
             return _PZERO
-        # lift x through the right and left descents of w
-        perms = self.perms
+        # lift x through the right and then the left descents of w, starting
+        # over after each step
+        length = self.length
+        lw = length[w]
+        descents = [t for t in (*self.rmul, *self.lmul) if length[t[w]] < lw]
         while True:
-            px = perms[x]
-            pw = perms[w]
-            moved = False
-            for i in range(self.n - 1):
-                if pw[i] > pw[i + 1] and px[i] < px[i + 1]:
-                    x = self.rmul[i][x]
-                    moved = True
+            for t in descents:
+                if length[t[x]] > length[x]:
+                    x = t[x]
                     break
-            if moved:
-                continue
-            pix = perms[self.inv[x]]
-            piw = perms[self.inv[w]]
-            for i in range(self.n - 1):
-                if piw[i] > piw[i + 1] and pix[i] < pix[i + 1]:
-                    x = self.lmul[i][x]
-                    moved = True
-                    break
-            if not moved:
+            else:
                 break
-        if x == w or self.length[w] - self.length[x] <= 2 or self.smooth(w):
+        if x == w or lw - length[x] <= 2 or self.smooth(w):
             return _PONE
         return self.col(w).get(x, _PONE)
 
@@ -463,7 +431,7 @@ def kl_polynomial(x: Perm, w: Perm) -> KLPolynomial:
     """P_{x,w} by the descent recursion (memoized across calls)."""
     x, w = _check_pair(x, w)
     ctx = _ctx(len(x))
-    packed = ctx.kl_packed(ctx.index[x], ctx.index[w])
+    packed = ctx.kl_packed(lehmer_index(x), lehmer_index(w))
     return KLPolynomial(_packed_to_tuple(packed))
 
 
@@ -471,7 +439,7 @@ def kl_at_one(x: Perm, w: Perm) -> int:
     """P_{x,w}(1), the main quantity consumed by the decision layer."""
     x, w = _check_pair(x, w)
     ctx = _ctx(len(x))
-    return packed_at_one(ctx.kl_packed(ctx.index[x], ctx.index[w]))
+    return packed_at_one(ctx.kl_packed(lehmer_index(x), lehmer_index(w)))
 
 
 def kl_table(n: int) -> dict[tuple[Perm, Perm], KLPolynomial]:
@@ -480,10 +448,10 @@ def kl_table(n: int) -> dict[tuple[Perm, Perm], KLPolynomial]:
         raise ValueError("full tables are supported for rank up to S_6")
     ctx = _ctx(n)
     out: dict[tuple[Perm, Perm], KLPolynomial] = {}
-    for wi, w in enumerate(ctx.perms):
+    for wi, w in enumerate(itertools.permutations(range(1, n + 1))):
         for xi in ctx.interval_below(wi):
             poly = KLPolynomial(_packed_to_tuple(ctx.kl_packed(xi, wi)))
-            out[(ctx.perms[xi], w)] = poly
+            out[(from_lehmer(n, xi), w)] = poly
     return out
 
 
@@ -683,15 +651,6 @@ def _read_exact(fh, size: int) -> bytes:
     return got
 
 
-def _index_length(n: int, w: int) -> int:
-    """Length of the permutation with index w in S_n: the digit sum of w in the factorial base."""
-    total = 0
-    for base in range(2, n + 1):
-        w, digit = divmod(w, base)
-        total += digit
-    return total
-
-
 def load_cache(path: str) -> int:
     """
     Load a cache written by :func:`save_cache`; returns entries loaded.
@@ -723,7 +682,7 @@ def load_cache(path: str) -> int:
             N = math.factorial(n)
             if w >= N:
                 raise ValueError(f"corrupt KL cache record ({n}, {w}): index beyond S_{n}")
-            lw = _index_length(n, w)
+            lw = sum(lehmer_code(n, w))
             lengths = lengths_in.setdefault(n, {})
             col = {}
             for _ in range(count):
@@ -733,7 +692,7 @@ def load_cache(path: str) -> int:
                 if lx is None:
                     if x >= N:
                         raise ValueError(f"corrupt KL cache record ({n}, {w}, {x}): index beyond S_{n}")
-                    lx = lengths[x] = _index_length(n, x)
+                    lx = lengths[x] = sum(lehmer_code(n, x))
                 # 2 deg <= l(w) - l(x) - 1, which also forces l(x) < l(w)
                 if packed & _MASK != 1 or lx + 2 * ((packed.bit_length() - 1) // _SHIFT) >= lw:
                     raise ValueError(f"corrupt KL cache record ({n}, {w}, {x})")

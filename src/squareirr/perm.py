@@ -211,7 +211,10 @@ def avoids_patterns(w: Perm, patterns: Iterable[Perm]) -> bool:
 
 def is_smooth(w: Perm) -> bool:
     """Smoothness of the full closure: avoidance of 4231 and 3412."""
-    return avoids_patterns(w, SINGULAR_PATTERNS)
+    for a, b, c, d in itertools.combinations(w, 4):
+        if d < b < c < a or c < d < a < b:
+            return False
+    return True
 
 
 def is_213_avoiding(w: Perm) -> bool:
@@ -312,6 +315,40 @@ def tau_delta(r: int, s: int, t: int) -> tuple[Perm, Perm]:
 
 def all_perms(k: int) -> Iterator[Perm]:
     return itertools.permutations(range(1, k + 1))
+
+
+def lehmer_index(p: Perm) -> int:
+    """
+    Position of p in the lexicographic order of S_n: its Lehmer code read in
+    the factorial base, sum_k c_k (n-1-k)!, where c_k counts the entries
+    after position k that are smaller than p[k].
+    """
+    w = 0
+    seen = 0  # bit v is set once the value v has been read
+    r = len(p)
+    for v in p:
+        # c_k: the values below v not read yet, which all come after p[k]
+        w = w * r + (~seen & ((1 << v) - 2)).bit_count()
+        seen |= 1 << v
+        r -= 1
+    return w
+
+
+def lehmer_code(n: int, w: int) -> list[int]:
+    """The Lehmer code c_0, ..., c_{n-1} of the permutation of S_n at position w."""
+    code = []
+    for base in range(1, n + 1):
+        w, c = divmod(w, base)
+        code.append(c)
+    if w:
+        raise ValueError(f"index out of range for S_{n}")
+    return code[::-1]
+
+
+def from_lehmer(n: int, w: int) -> Perm:
+    """The permutation of S_n at position w in lexicographic order."""
+    rest = list(range(1, n + 1))
+    return tuple(map(rest.pop, lehmer_code(n, w)))
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ import pytest
 from squareirr import cli
 from squareirr import criteria as C
 from squareirr import klpoly as K
+from squareirr import perm as P
 from squareirr.multiseg import parse_multisegment
 
 
@@ -272,7 +273,7 @@ def _forge_kl_cache(cache, n, w, x, packed):
 def test_kl_cache_record_failing_its_checks_exits_2(tmp_path, capsys, monkeypatch, case):
     monkeypatch.setattr(K, "_contexts", {})
     ctx = K._ctx(4)
-    x, w = ctx.index[(1, 3, 2, 4)], ctx.index[(3, 4, 1, 2)]
+    x, w = P.lehmer_index((1, 3, 2, 4)), P.lehmer_index((3, 4, 1, 2))
     cache = tmp_path / "kl.bin"
     if case == "degree":
         _forge_kl_cache(cache, 4, w, x, 1 + (1 << 16) + (1 << 32))  # 1 + q + q^2

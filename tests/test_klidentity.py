@@ -9,6 +9,21 @@ from squareirr import perm as P
 from squareirr.klidentity import CosetMatrix
 
 
+def _block_subgroup(k, m):
+    """All elements of the block-diagonal subgroup of S_{mk}, with signs."""
+    blocks = list(itertools.permutations(range(1, m + 1)))
+    out = []
+    for combo in itertools.product(blocks, repeat=k):
+        word = []
+        sgn = 1
+        for i, pi in enumerate(combo):
+            base = m * i
+            word.extend(base + v for v in pi)
+            sgn *= P.sign(pi)
+        out.append((tuple(word), sgn))
+    return out
+
+
 def test_coset_matrix_examples():
     assert KI.coset_matrix((1, 2, 3, 4), 2).entries == ((2, 0), (0, 2))
     st = P.inflate((2, 1), 2)
@@ -24,7 +39,7 @@ def test_coset_matrix_examples():
 def test_coset_matrix_classifies_double_cosets(n, m):
     # constant on each double coset, and different cosets get different matrices
     k = n // m
-    subgroup = [h for h, _ in KI._block_subgroup(k, m)]
+    subgroup = [h for h, _ in _block_subgroup(k, m)]
     buckets = {}
     for w in P.all_perms(n):
         buckets.setdefault(KI.coset_matrix(w, m), set()).add(w)
@@ -304,14 +319,14 @@ def _coset_sums_by_kl_packed(sigma0, sigma, m):
     ctx = K._ctx(n)
     if (n, m) not in _reference_buckets:
         buckets = {}
-        for idx, w in enumerate(ctx.perms):
+        for idx, w in enumerate(P.all_perms(n)):
             buckets.setdefault(KI.coset_matrix(w, m), []).append(idx)
         _reference_buckets[(n, m)] = buckets
-    st_idx = ctx.index[P.inflate(sigma, m)]
-    st0_idx = ctx.index[P.inflate(sigma0, m)]
+    st_idx = P.lehmer_index(P.inflate(sigma, m))
+    st0_idx = P.lehmer_index(P.inflate(sigma0, m))
     checks = []
     for M, members in sorted(_reference_buckets[(n, m)].items()):
-        rep_idx = ctx.index[KI.min_rep(M)]
+        rep_idx = P.lehmer_index(KI.min_rep(M))
         if not (ctx.leq(st0_idx, rep_idx) and ctx.leq(rep_idx, st_idx)):
             continue
         lhs = 0
@@ -331,15 +346,15 @@ def _parabolic_sums_by_kl_packed(sigma0, sigma, m):
     """The kl_packed route _parabolic_sums replaced, kept as the reference."""
     k = len(sigma)
     ctx = K._ctx(m * k)
-    st_idx = ctx.index[P.inflate(sigma, m)]
+    st_idx = P.lehmer_index(P.inflate(sigma, m))
     out = []
     for sp in P.all_perms(k):
         if not (P.bruhat_leq(sigma0, sp) and P.bruhat_leq(sp, sigma)):
             continue
         spt = P.inflate(sp, m)
         total = 0
-        for h, sgn in KI._block_subgroup(k, m):
-            w_idx = ctx.index[P.compose(spt, h)]
+        for h, sgn in _block_subgroup(k, m):
+            w_idx = P.lehmer_index(P.compose(spt, h))
             total += sgn * _packed_at_one_by_loop(ctx.kl_packed(w_idx, st_idx))
         out.append(KI.ParityCheck(sp, total))
     return out
@@ -366,12 +381,13 @@ def test_coset_sums_read_off_one_column_match_kl_packed_route():
             s, s0, 2, _coset_sums_by_kl_packed(s0, s, 2), _parabolic_sums_by_kl_packed(s0, s, 2)
         )
         assert got.to_json() == want.to_json(), (s0, s)
-    for s0, s in _identity_pairs((2,)):
-        got = KI.verify_higher(s0, s, 3)
-        want = KI.IdentityReport(
-            s, s0, 3, _coset_sums_by_kl_packed(s0, s, 3), _parabolic_sums_by_kl_packed(s0, s, 3)
-        )
-        assert got.to_json() == want.to_json(), (s0, s)
+    for m in (3, 4):
+        for s0, s in _identity_pairs((2,)):
+            got = KI.verify_higher(s0, s, m)
+            want = KI.IdentityReport(
+                s, s0, m, _coset_sums_by_kl_packed(s0, s, m), _parabolic_sums_by_kl_packed(s0, s, m)
+            )
+            assert got.to_json() == want.to_json(), (m, s0, s)
 
 
 @pytest.mark.parametrize("n,m", [(4, 2), (6, 2), (6, 3), (8, 2)])
@@ -381,8 +397,8 @@ def test_group_buckets_hold_min_rep_index(n, m):
     assert [M for M, _, _ in buckets] == sorted(M for M, _, _ in buckets)
     assert sorted(i for _, _, members in buckets for i in members) == list(range(ctx.N))
     for M, rep_idx, members in buckets:
-        assert rep_idx == ctx.index[KI.min_rep(M)]
-        assert all(KI.coset_matrix(ctx.perms[i], m) == M for i in members)
+        assert rep_idx == P.lehmer_index(KI.min_rep(M))
+        assert all(KI.coset_matrix(P.from_lehmer(n, i), m) == M for i in members)
 
 
 @pytest.mark.parametrize("n,m", [(6, 2), (8, 2)])
@@ -390,9 +406,8 @@ def test_group_buckets_match_per_permutation_grouping(n, m, monkeypatch):
     # the coset_matrix call per permutation _group_buckets replaced, as the
     # reference; a fresh bucket cache forces a rebuild
     monkeypatch.setattr(KI, "_buckets_cache", {})
-    ctx = K._ctx(n)
     members = {}
-    for idx, w in enumerate(ctx.perms):
+    for idx, w in enumerate(P.all_perms(n)):
         members.setdefault(KI.coset_matrix(w, m), []).append(idx)
-    want = [(M, ctx.index[KI.min_rep(M)], ws) for M, ws in sorted(members.items())]
+    want = [(M, P.lehmer_index(KI.min_rep(M)), ws) for M, ws in sorted(members.items())]
     assert KI._group_buckets(n, m) == want

@@ -159,8 +159,8 @@ def test_truncated_cache_never_loads_a_different_column(tmp_path, monkeypatch):
 
 def test_cache_record_without_constant_term_one_is_rejected(tmp_path, monkeypatch):
     monkeypatch.setattr(K, "_contexts", {})
-    w = K._ctx(4).index[(3, 4, 1, 2)]
-    x = K._ctx(4).index[(1, 3, 2, 4)]
+    w = P.lehmer_index((3, 4, 1, 2))
+    x = P.lehmer_index((1, 3, 2, 4))
     head = b"SQKL" + struct.pack("<H", 1) + struct.pack("<BII", 4, w, 1)
     for packed in (b"\x00", b"\x02", b"\x00\x00\x01"):
         path = tmp_path / "forged.cache"
@@ -230,7 +230,9 @@ def test_symcontext_tables_match_per_permutation_build():
         perms = list(itertools.permutations(range(1, n + 1)))
         index = {p: i for i, p in enumerate(perms)}
         ctx = K._SymContext(n)
-        assert ctx.perms == perms and ctx.index == index and ctx.N == len(perms)
+        assert ctx.N == len(perms)
+        for w, p in enumerate(perms):
+            assert P.from_lehmer(n, w) == p and P.lehmer_index(p) == w, (n, w)
         assert ctx.HI == int.from_bytes(b"\x80" * (n * n), "little")
         assert len(ctx.rmul) == len(ctx.lmul) == max(n - 1, 0)
         tables = [ctx.length, ctx.inv, ctx.conj, ctx.rank, *ctx.rmul, *ctx.lmul]
@@ -265,7 +267,8 @@ def test_table_rank_bound_is_checked_before_building(monkeypatch):
 
 def test_cache_record_beyond_table_rank_is_rejected(tmp_path, monkeypatch):
     monkeypatch.setattr(K, "_contexts", {})
-    w = K._ctx(4).index[(3, 4, 1, 2)]
+    K._ctx(4)
+    w = P.lehmer_index((3, 4, 1, 2))
     monkeypatch.setattr(K, "_SymContext", _refuse_to_build)
     good = struct.pack("<BII", 4, w, 0)
     big = struct.pack("<BII", K.MAX_TABLE_RANK + 1, 0, 0)
@@ -292,7 +295,7 @@ def _build_by_element_scan(ctx, w):
     """
     if ctx.length[w] <= 2 or ctx.smooth(w):
         return {}
-    word = ctx.perms[w]
+    word = P.from_lehmer(ctx.n, w)
     s = next(i for i in range(ctx.n - 1) if word[i] > word[i + 1])
     v = ctx.rmul[s][w]
     colv = ctx.col(v)
@@ -305,7 +308,7 @@ def _build_by_element_scan(ctx, w):
 
     terms = []
     for z, mu in ctx.mu_list(v):
-        pz = ctx.perms[z]
+        pz = P.from_lehmer(ctx.n, z)
         if pz[s] > pz[s + 1]:
             terms.append((z, mu << (16 * ((lw - ctx.length[z]) // 2)), ctx.length[z], ctx.col(z)))
     out = {}
@@ -360,12 +363,12 @@ def _forged_cache(path, n, w, x, packed):
 def test_cache_index_length_is_the_factorial_digit_sum():
     for n in range(8):
         ctx = K._ctx(n)
-        assert [K._index_length(n, w) for w in range(ctx.N)] == ctx.length
+        assert [sum(P.lehmer_code(n, w)) for w in range(ctx.N)] == ctx.length
 
 
 def test_cache_record_beyond_degree_bound_or_group_is_rejected(tmp_path, monkeypatch):
-    x = K._ctx(4).index[(1, 3, 2, 4)]  # length 1
-    w = K._ctx(4).index[(3, 4, 1, 2)]  # length 4
+    x = P.lehmer_index((1, 3, 2, 4))  # length 1
+    w = P.lehmer_index((3, 4, 1, 2))  # length 4
     # checked from the indices alone: no S_n context is built
     monkeypatch.setattr(K, "_contexts", {})
     monkeypatch.setattr(K, "_SymContext", _refuse_to_build)

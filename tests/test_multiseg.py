@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squareirr import biseq as B
 from squareirr import multiseg as M
@@ -396,3 +397,13 @@ def test_detachable_segments_match_pairwise_scan():
                 if P.bruhat_leq(s0, sigma):
                     m = B.multisegment_of(A, sigma)
                     assert M.detachable_segments(m) == _detachable_by_pairs(m), m
+
+
+segments = st.tuples(st.integers(-20, 20), st.integers(0, 6)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+@settings(deadline=None)
+@given(st.lists(segments, max_size=8))
+def test_parse_multisegment_reads_str(segs):
+    m = Multisegment(segs)
+    assert parse(str(m)) == m

@@ -1,9 +1,14 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squareirr import perm as P
+
+# permutations of 1..n for n in 0..12, past the largest indexed S_n
+perms_upto_12 = st.integers(0, 12).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple)
 
 
 def brute_bruhat_table(k):
@@ -240,6 +245,34 @@ def test_parse_and_format():
         P.parse_perm("4,4,1")
     with pytest.raises(ValueError):
         P.parse_perm("abc")
+
+
+@settings(deadline=None)
+@given(perms_upto_12)
+def test_lehmer_index_round_trips(p):
+    n = len(p)
+    w = P.lehmer_index(p)
+    assert 0 <= w < math.factorial(n)
+    assert P.from_lehmer(n, w) == p
+
+
+def test_from_lehmer_rejects_an_index_outside_the_group():
+    for n, w in ((0, 1), (3, -1), (3, 6), (4, 24)):
+        with pytest.raises(ValueError, match="index out of range"):
+            P.from_lehmer(n, w)
+
+
+@settings(deadline=None)
+@given(perms_upto_12.filter(len), st.booleans())
+def test_parse_perm_reads_format_perm(p, compact):
+    assert P.parse_perm(P.format_perm(p, compact=compact)) == p
+
+
+def test_is_smooth_matches_the_pattern_matcher():
+    # the direct 4231/3412 scan against the general matcher, on all of S_0..S_7
+    for k in range(8):
+        for w in P.all_perms(k):
+            assert P.is_smooth(w) == P.avoids_patterns(w, P.SINGULAR_PATTERNS), w
 
 
 def test_inverse_involutive_and_length_preserving():
