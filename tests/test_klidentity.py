@@ -390,6 +390,41 @@ def test_coset_sums_read_off_one_column_match_kl_packed_route():
             assert got.to_json() == want.to_json(), (m, s0, s)
 
 
+def _weight(x):
+    """A value at 1 for the element of index x: one 16-bit limb, not linear in the Lehmer digits."""
+    return x * x % 65521
+
+
+class _IndexWeights(dict):
+    """A stand-in column whose entry at x has the value _weight(x) at 1."""
+
+    def get(self, x, default=None):
+        return _weight(x)
+
+
+@pytest.mark.parametrize("k,m", [(2, 2), (3, 2), (4, 2), (2, 3), (2, 4)])
+def test_parabolic_sums_walk_each_coset_of_the_block_subgroup(k, m, monkeypatch):
+    # the identity reports stay right with some elements of a coset missing
+    # (at k = 2, m = 4 a coset grown from s0 s1 s2 s0 s1 in each block gives
+    # the same sums), so weight every element by its own index and compare
+    # with the signed sum over _block_subgroup (a weight linear in the digits
+    # sums to 0 over both)
+    ctx = K._ctx(m * k)
+    monkeypatch.setattr(ctx, "col", lambda w: _IndexWeights())
+    sigma0, sigma = P.identity(k), P.longest_element(k)
+    st_idx = P.lehmer_index(P.inflate(sigma, m))
+    want = []
+    for sp in P.all_perms(k):
+        spt = P.inflate(sp, m)
+        total = 0
+        for h, sgn in _block_subgroup(k, m):
+            w_idx = P.lehmer_index(P.compose(spt, h))
+            if ctx.leq(w_idx, st_idx):
+                total += sgn * _weight(w_idx)
+        want.append(KI.ParityCheck(sp, total))
+    assert KI._parabolic_sums(sigma0, sigma, m) == want
+
+
 @pytest.mark.parametrize("n,m", [(4, 2), (6, 2), (6, 3), (8, 2)])
 def test_group_buckets_hold_min_rep_index(n, m):
     ctx = K._ctx(n)
