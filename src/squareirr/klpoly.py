@@ -177,9 +177,9 @@ def _rank_table(n: int) -> list[int]:
     tails: dict[Perm, list[int]] = {}
     rank: list[int] = []
     # heads in lexicographic order; each runs through its (n - h)! tails in order
-    for p in itertools.permutations(range(1, n + 1), h):
-        head = sum(map(list.__getitem__, term, p))
-        tail = tuple(v for v in range(1, n + 1) if v not in p)
+    for prefix in itertools.permutations(range(1, n + 1), h):
+        head = sum(map(list.__getitem__, term, prefix))
+        tail = tuple(v for v in range(1, n + 1) if v not in prefix)
         sums = tails.get(tail)
         if sums is None:
             sums = tails[tail] = [
