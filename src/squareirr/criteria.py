@@ -38,7 +38,9 @@ from .multiseg import (
 from .perm import Perm
 
 GLS_PRIME = 2**31 - 1
-STRONG_MATCHING_BUDGET = 20_000  # backtracking steps of find_strong_matching
+# backtracking steps of find_strong_matching; steps below a prefix that is
+# already cyclic are walked and counted too, though no leaf there is checked
+STRONG_MATCHING_BUDGET = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +234,60 @@ def find_strong_matching(
     if adj is None or labels is None:
         _, _, adj, labels = link_tables(m)
     X = sorted(adj, key=lambda x: (len(adj[x]), x))
+    k = len(m)
     # the used labels, indexed by first and by second coordinate
-    by_first: list[list[int]] = [[] for _ in range(len(m) + 1)]
-    by_second: list[list[int]] = [[] for _ in range(len(m) + 1)]
+    by_first: list[list[int]] = [[] for _ in range(k + 1)]
+    by_second: list[list[int]] = [[] for _ in range(k + 1)]
     used: set = set()
     assign: dict = {}
     steps = 0
+    # X[:dead] is already cyclic.  Comes-after edges only grow as positions are
+    # assigned, so every leaf below that prefix fails; its branches are still
+    # walked and counted, so the budget means the same, but no leaf is checked.
+    # len(X) + 1 while no prefix is known to be cyclic.
+    dead = len(X) + 1
+    acyclic = 0  # X[:acyclic] is known to be acyclic
 
-    def backtrack(pos: int) -> Optional[dict]:
+    def cyclic_depth() -> int:
+        """Shallowest d with X[:d] cyclic, by binary search; X itself is cyclic."""
+        path = [labels[x][adj[x].index(assign[x])] for x in X]
+        lo, hi = acyclic, len(X)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            bf: list[list[int]] = [[] for _ in range(k + 1)]
+            bs: list[list[int]] = [[] for _ in range(k + 1)]
+            for a, b in path[:mid]:
+                bf[a].append(b)
+                bs[b].append(a)
+            if _matching_is_strong({x: assign[x] for x in X[:mid]}, bf, bs):
+                lo = mid
+            else:
+                hi = mid
+        return hi
+
+    def count(pos: int) -> None:
+        """Walk the branches below X[:pos] as backtrack would, counting steps only."""
         nonlocal steps
         if pos == len(X):
-            return dict(assign) if _matching_is_strong(assign, by_first, by_second) else None
+            return
+        for y in adj[X[pos]]:
+            if y in used:
+                continue
+            steps += 1
+            if steps > budget:
+                return
+            used.add(y)
+            count(pos + 1)
+            used.discard(y)
+
+    def backtrack(pos: int) -> Optional[dict]:
+        nonlocal steps, dead, acyclic
+        if pos == len(X):
+            if _matching_is_strong(assign, by_first, by_second):
+                return dict(assign)
+            dead = cyclic_depth()
+            acyclic = dead - 1
+            return None
         x = X[pos]
         for y, (a, b) in zip(adj[x], labels[x]):
             if y in used:
@@ -251,6 +296,10 @@ def find_strong_matching(
             if steps > budget:
                 return None
             used.add(y)
+            if pos >= dead:
+                count(pos + 1)
+                used.discard(y)
+                continue
             assign[x] = y
             by_first[a].append(b)
             by_second[b].append(a)
@@ -261,6 +310,9 @@ def find_strong_matching(
             del assign[x]
             by_first[a].pop()
             by_second[b].pop()
+            if pos < dead:
+                dead = len(X) + 1
+                acyclic = min(acyclic, pos)
         return None
 
     if any(not nbrs for nbrs in adj.values()):

@@ -308,7 +308,8 @@ def _coset_sums(sigma0: Perm, sigma: Perm, m: int) -> list[CosetCheck]:
         lhs = 0
         for w_idx in members:
             if lengths[w_idx] <= lst and ((rank[w_idx] | HI) - rst) & HI == HI:  # ctx.leq(w_idx, st_idx)
-                val = K.packed_at_one(col.get(w_idx, 1))
+                p = col.get(w_idx)
+                val = 1 if p is None else K.packed_at_one(p)
                 lhs += -val if lengths[w_idx] % 2 else val
         if m == 2:
             rhs = class_value(M)
@@ -339,7 +340,8 @@ def _parabolic_sums(sigma0: Perm, sigma: Perm, m: int) -> list[ParityCheck]:
         total = 0
         for w_idx in coset:
             if ctx.leq(w_idx, st_idx):
-                val = K.packed_at_one(col.get(w_idx, 1))
+                p = col.get(w_idx)
+                val = 1 if p is None else K.packed_at_one(p)
                 total += -val if (ctx.length[w_idx] - ctx.length[spt_idx]) % 2 else val
         out.append(ParityCheck(sp, total))
     return out

@@ -28,7 +28,7 @@ import struct
 import threading
 from typing import Iterable, Optional
 
-from .perm import Perm, apply_transposition, check_permutation, from_lehmer, is_smooth, lehmer_code, lehmer_index
+from .perm import Perm, check_permutation, from_lehmer, is_smooth, lehmer_code, lehmer_index
 
 _SHIFT = 16
 _MASK = 0xFFFF
@@ -260,12 +260,19 @@ class _SymContext:
         return got
 
     def covers(self, v: int) -> list[int]:
-        """Lower covers of v in Bruhat order."""
-        p = from_lehmer(self.n, v)
+        """
+        Lower covers of v in Bruhat order: v with the entries at i < j swapped,
+        where p[i] > p[j] and no entry between them has a value between them.
+        Only Lehmer digits i and j change: c_i falls by 1 + d and c_j rises by
+        d, where d counts the entries after j with a value between p[j] and p[i].
+        """
+        n = self.n
+        p = from_lehmer(n, v)
         out = []
-        for i, j in itertools.combinations(range(self.n), 2):
+        for i, j in itertools.combinations(range(n), 2):
             if p[i] > p[j] and not any(p[j] < p[l] < p[i] for l in range(i + 1, j)):
-                out.append(lehmer_index(apply_transposition(p, i + 1, j + 1)))
+                d = sum(p[j] < p[l] < p[i] for l in range(j + 1, n))
+                out.append(v - (1 + d) * math.factorial(n - 1 - i) + d * math.factorial(n - 1 - j))
         return out
 
     def _canon(self, w: int) -> tuple[int, int]:

@@ -57,11 +57,6 @@ def inverse(w: Perm) -> Perm:
     return tuple(inv)
 
 
-def compose(u: Perm, v: Perm) -> Perm:
-    """(u * v)(i) = u(v(i))."""
-    return tuple(u[x - 1] for x in v)
-
-
 def length(w: Perm) -> int:
     """Number of inversions #{i < j : w(i) > w(j)}."""
     count = 0

@@ -279,6 +279,79 @@ def test_gls_strong_matching_budget():
     assert (ok, rep.method) == (True, "strong-matching")
 
 
+def _strong_matching_leaf_by_leaf(m, budget):
+    """The search as it was before cyclic prefixes were skipped: every complete assignment is checked."""
+    _, _, adj, labels = M.link_tables(m)
+    X = sorted(adj, key=lambda x: (len(adj[x]), x))
+    by_first = [[] for _ in range(len(m) + 1)]
+    by_second = [[] for _ in range(len(m) + 1)]
+    used, assign, steps = set(), {}, 0
+
+    def backtrack(pos):
+        nonlocal steps
+        if pos == len(X):
+            return dict(assign) if C._matching_is_strong(assign, by_first, by_second) else None
+        x = X[pos]
+        for y, (a, b) in zip(adj[x], labels[x]):
+            if y in used:
+                continue
+            steps += 1
+            if steps > budget:
+                return None
+            used.add(y)
+            assign[x] = y
+            by_first[a].append(b)
+            by_second[b].append(a)
+            got = backtrack(pos + 1)
+            if got is not None:
+                return got
+            used.discard(y)
+            del assign[x]
+            by_first[a].pop()
+            by_second[b].pop()
+        return None
+
+    if any(not nbrs for nbrs in adj.values()):
+        return None
+    return backtrack(0)
+
+
+def test_strong_matching_search_matches_leaf_by_leaf_search():
+    # the leaf-by-leaf search first finds a matching here after 1,000 or more
+    # steps, many of them below cyclic prefixes: the budget must cut both at once
+    m = parse("[8,11]+[6,9]+[6,8]+[6,7]+[3,7]+[2,5]+[1,5]+[0,4]")
+    lo, hi = 0, C.STRONG_MATCHING_BUDGET
+    assert _strong_matching_leaf_by_leaf(m, hi) is not None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _strong_matching_leaf_by_leaf(m, mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    assert hi >= 1000
+    assert C.find_strong_matching(m, hi - 1) is None
+    assert C.find_strong_matching(m, hi) == _strong_matching_leaf_by_leaf(m, hi)
+    # 300 seeded instances at six budgets
+    rng = random.Random(11)
+    found = 0
+    for _ in range(300):
+        m = M.random_multisegment(rng, max_segments=8)
+        for budget in (1, 2, 7, 50, 500, 20_000):
+            want = _strong_matching_leaf_by_leaf(m, budget)
+            assert C.find_strong_matching(m, budget) == want, (m, budget)
+            found += want is not None
+    assert found
+    # both searches use up the budget on these: the two gls-stability instances
+    # that do, the second also the 20-segment instance above
+    for text in (
+        "[5]+[4]+[4]+[3,4]+[3]+[3]+[2,3]+[2]+[2]+[2]+[1,2]+[1]+[1]+[0,1]+[0,1]+[0]+[0]",
+        "[5,6]+[5]+[4,5]+[4]+[4]+[4]+[3,4]+[3]+[3]+[3]+[3]+[2,3]+[2]+[2]+[2]+[1,2]+[1]+[1]+[0]+[0]",
+    ):
+        m = parse(text)
+        assert _strong_matching_leaf_by_leaf(m, C.STRONG_MATCHING_BUDGET) is None
+        assert C.find_strong_matching(m) is None
+
+
 # ---------------------------------------------------------------------------
 # the combined verdict
 

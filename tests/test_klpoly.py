@@ -91,7 +91,7 @@ def test_symmetries():
         w = rng.choice(perms)
         p = K.kl_polynomial(x, w)
         assert p == K.kl_polynomial(P.inverse(x), P.inverse(w))
-        conj = lambda u: P.compose(w0, P.compose(u, w0))
+        conj = lambda u: tuple(w0[v - 1] for v in u[::-1])  # w0 u w0: reverse u, complement its values
         assert p == K.kl_polynomial(conj(x), conj(w))
 
 
@@ -248,6 +248,22 @@ def test_symcontext_tables_match_per_permutation_build():
             )
             assert got == _per_permutation_entries(n, index, perms[w]), (n, w)
     assert K._SymContext(1).rank == [1]
+
+
+def test_covers_by_two_digits_match_the_swapped_permutation():
+    # every v of S_0..S_7: encode each cover in full and compare, order included
+    for n in range(8):
+        ctx = K._SymContext(n)
+        for v in range(ctx.N):
+            p = P.from_lehmer(n, v)
+            want = [
+                P.lehmer_index(P.apply_transposition(p, i + 1, j + 1))
+                for i, j in itertools.combinations(range(n), 2)
+                if p[i] > p[j] and not any(p[j] < p[l] < p[i] for l in range(i + 1, j))
+            ]
+            got = ctx.covers(v)
+            assert got == want, (n, v)
+            assert all(ctx.length[u] == ctx.length[v] - 1 for u in got), (n, v)
 
 
 def _refuse_to_build(n):
