@@ -38,8 +38,11 @@ from .multiseg import (
 from .perm import Perm
 
 GLS_PRIME = 2**31 - 1
-# backtracking steps of find_strong_matching; steps below a prefix that is
-# already cyclic are walked and counted too, though no leaf there is checked
+# backtracking steps of find_strong_matching.  Steps below a prefix that is
+# already cyclic are walked and counted too, though no leaf there is checked.
+# A walk that repeats a (position, used candidates) state adds its size from a
+# table instead of being walked again, so the budget still counts every step;
+# the table holds at most budget + 1 entries.
 STRONG_MATCHING_BUDGET = 20_000
 
 
@@ -178,17 +181,6 @@ def irreducible_pairs(m: Multisegment, adj: Optional[dict] = None) -> list[tuple
     return sorted(out)
 
 
-def _edge_label(m: Multisegment, x: tuple[int, int], y: tuple[int, int]) -> Optional[tuple[int, int]]:
-    """Label of the neighbour edge x -> y, itself a link pair of m."""
-    i1, j1 = x
-    i2, j2 = y
-    if i1 == i2 and precedes(m.seg(j2), m.seg(j1)):
-        return (j2, j1)
-    if j1 == j2 and precedes(m.seg(i1), m.seg(i2)):
-        return (i1, i2)
-    return None
-
-
 def _matching_is_strong(f: dict, by_first: list, by_second: list) -> bool:
     """
     A matching is strong when some enumeration r_1..r_n of the link set has
@@ -234,24 +226,33 @@ def find_strong_matching(
     if adj is None or labels is None:
         _, _, adj, labels = link_tables(m)
     X = sorted(adj, key=lambda x: (len(adj[x]), x))
+    n = len(X)
     k = len(m)
+    w = k + 1  # candidate (i, j) is bit i * w + j of the int of used candidates
     # the used labels, indexed by first and by second coordinate
     by_first: list[list[int]] = [[] for _ in range(k + 1)]
     by_second: list[list[int]] = [[] for _ in range(k + 1)]
-    used: set = set()
     assign: dict = {}
     steps = 0
+    # sizes[used] = (steps, reaches a leaf) of the whole walk below X[:pos],
+    # where used has one bit for each candidate taken by X[:pos], and so also
+    # gives pos; neither depends on anything else.  A walk that repeats a state
+    # adds the stored size instead of walking again, so the budget still counts
+    # every step.  Only walks that ended within the budget are stored, so the
+    # table holds at most budget + 1 entries.
+    sizes: dict = {}
+    leaves = 0  # leaves below backtrack, checked or walked by count
     # X[:dead] is already cyclic.  Comes-after edges only grow as positions are
     # assigned, so every leaf below that prefix fails; its branches are still
     # walked and counted, so the budget means the same, but no leaf is checked.
-    # len(X) + 1 while no prefix is known to be cyclic.
-    dead = len(X) + 1
+    # n + 1 while no prefix is known to be cyclic.
+    dead = n + 1
     acyclic = 0  # X[:acyclic] is known to be acyclic
 
     def cyclic_depth() -> int:
         """Shallowest d with X[:d] cyclic, by binary search; X itself is cyclic."""
         path = [labels[x][adj[x].index(assign[x])] for x in X]
-        lo, hi = acyclic, len(X)
+        lo, hi = acyclic, n
         while hi - lo > 1:
             mid = (lo + hi) // 2
             bf: list[list[int]] = [[] for _ in range(k + 1)]
@@ -265,98 +266,127 @@ def find_strong_matching(
                 hi = mid
         return hi
 
-    def count(pos: int) -> None:
-        """Walk the branches below X[:pos] as backtrack would, counting steps only."""
+    def count(pos: int, used: int) -> bool:
+        """
+        Walk the branches below X[:pos] as backtrack would, counting steps
+        only; True when the walk reaches a leaf.
+        """
         nonlocal steps
-        if pos == len(X):
-            return
-        for y in adj[X[pos]]:
-            if y in used:
+        if pos == n:
+            return True
+        got = sizes.get(used)
+        if got is not None:
+            steps += got[0]
+            return got[1]
+        start, leaf = steps, False
+        for i, j in adj[X[pos]]:
+            bit = 1 << (i * w + j)
+            if used & bit:
                 continue
             steps += 1
             if steps > budget:
-                return
-            used.add(y)
-            count(pos + 1)
-            used.discard(y)
+                return leaf
+            leaf |= count(pos + 1, used | bit)
+        if steps <= budget:
+            sizes[used] = (steps - start, leaf)
+        return leaf
 
-    def backtrack(pos: int) -> Optional[dict]:
-        nonlocal steps, dead, acyclic
-        if pos == len(X):
+    def backtrack(pos: int, used: int) -> Optional[dict]:
+        nonlocal steps, leaves, dead, acyclic
+        if pos == n:
+            leaves += 1
             if _matching_is_strong(assign, by_first, by_second):
                 return dict(assign)
             dead = cyclic_depth()
             acyclic = dead - 1
             return None
+        # a stored walk may stand in only if it checks no leaf: a leaf's
+        # check depends on assign, which the key does not hold
+        if sizes:
+            got = sizes.get(used)
+            if got is not None and not got[1]:
+                steps += got[0]
+                return None
+        start, seen = steps, leaves
         x = X[pos]
         for y, (a, b) in zip(adj[x], labels[x]):
-            if y in used:
+            bit = 1 << (y[0] * w + y[1])
+            if used & bit:
                 continue
             steps += 1
             if steps > budget:
                 return None
-            used.add(y)
             if pos >= dead:
-                count(pos + 1)
-                used.discard(y)
+                leaves += count(pos + 1, used | bit)
                 continue
             assign[x] = y
             by_first[a].append(b)
             by_second[b].append(a)
-            got = backtrack(pos + 1)
+            got = backtrack(pos + 1, used | bit)
             if got is not None:
                 return got
-            used.discard(y)
             del assign[x]
             by_first[a].pop()
             by_second[b].pop()
             if pos < dead:
-                dead = len(X) + 1
+                dead = n + 1
                 acyclic = min(acyclic, pos)
+        if steps <= budget:
+            sizes[used] = (steps - start, leaves > seen)
         return None
 
     if any(not nbrs for nbrs in adj.values()):
         return None
-    return backtrack(0)
+    return backtrack(0, 0)
 
 
-def _gls_vectors_mod(m: Multisegment, X: frozenset, Xt: frozenset, lam: dict, p: int) -> list[list[int]]:
-    """Rows of the rank test: one vector over the shifted link set per link pair."""
+def _gls_vectors_mod(m: Multisegment, X: frozenset, Xt: frozenset, lam: dict, p: int) -> list[dict[int, int]]:
+    """
+    Rows of the rank test: one vector over the shifted link set per link
+    pair, as {column: value}, columns indexing sorted Xt.
+    """
     xt_index = {y: c for c, y in enumerate(sorted(Xt))}
     rows = []
     for (i, j) in sorted(X):
-        row = [0] * len(xt_index)
+        row: dict[int, int] = {}
         for r in range(1, len(m) + 1):
             if (r, j) in X and (i, r) in Xt:
-                row[xt_index[(i, r)]] = (row[xt_index[(i, r)]] + lam[(r, j)]) % p
+                c = xt_index[(i, r)]
+                row[c] = (row.get(c, 0) + lam[(r, j)]) % p
         for s in range(1, len(m) + 1):
             if (s, j) in Xt and (i, s) in X:
-                row[xt_index[(s, j)]] = (row[xt_index[(s, j)]] - lam[(i, s)]) % p
+                c = xt_index[(s, j)]
+                row[c] = (row.get(c, 0) - lam[(i, s)]) % p
         rows.append(row)
     return rows
 
 
-def _rank_mod(rows: list[list[int]], p: int) -> int:
-    rows = [row[:] for row in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    pivot_row = 0
-    for c in range(cols):
-        pivot = next((r for r in range(pivot_row, len(rows)) if rows[r][c] % p), None)
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        inv = pow(rows[pivot_row][c], -1, p)
-        rows[pivot_row] = [(v * inv) % p for v in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][c]:
-                factor = rows[r][c]
-                rows[r] = [(v - factor * u) % p for v, u in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        rank += 1
-        if pivot_row == len(rows):
-            break
-    return rank
+def _rank_mod(rows: list[dict[int, int]], p: int) -> int:
+    """
+    Rank over Z/p of sparse rows {column: value}.  Each row is reduced by
+    the pivot row of its leading column until its leading column has none;
+    it then becomes that column's pivot row, scaled to lead with 1 and kept
+    without its leading entry.  Every entry of a pivot row lies right of its
+    column, so each reduction moves the leading column right.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(row.pop(c), -1, p)
+                pivots[c] = {d: v * inv % p for d, v in row.items()}
+                break
+            f = row.pop(c)
+            for d, v in piv.items():
+                w = (row.get(d, 0) - f * v) % p
+                if w:
+                    row[d] = w
+                else:
+                    row.pop(d, None)
+    return len(pivots)
 
 
 def gls_check(m: Multisegment, trials: int = 3, seed: int = 0) -> tuple[bool, GlsReport]:

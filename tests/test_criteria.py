@@ -187,13 +187,23 @@ def test_gls_invariance_mini_sweep():
                     assert C.gls_check(res[0])[0]
 
 
+def _edge_label(m, x, y):
+    """Label of the neighbour edge x -> y, itself a link pair of m."""
+    (i1, j1), (i2, j2) = x, y
+    if i1 == i2 and M.precedes(m.seg(j2), m.seg(j1)):
+        return (j2, j1)
+    if j1 == j2 and M.precedes(m.seg(i1), m.seg(i2)):
+        return (i1, i2)
+    return None
+
+
 def _strong_by_all_pairs(m, f, labels):
     """The leaf rule by definition: label every ordered pair, then look for a cycle."""
     used_labels = {labels[(x, f[x])] for x in f}
     after = {x: [] for x in f}
     for rp in f:
         for r in f:
-            if r != rp and C._edge_label(m, r, f[rp]) in used_labels:
+            if r != rp and _edge_label(m, r, f[rp]) in used_labels:
                 after[rp].append(r)
     state = {}
 
@@ -238,7 +248,7 @@ def test_strong_check_by_label_index_matches_all_pairs():
         if not 0 < len(adj) <= 8:
             continue
         instances += 1
-        labels = {(x, y): C._edge_label(m, x, y) for x in adj for y in adj[x]}
+        labels = {(x, y): _edge_label(m, x, y) for x in adj for y in adj[x]}
         for f in _injections(adj):
             by_first = [[] for _ in range(len(m) + 1)]
             by_second = [[] for _ in range(len(m) + 1)]
@@ -265,7 +275,7 @@ def test_find_strong_matching_builds_its_own_tables():
         found += 1
         assert sorted(f) == sorted(t.adj) and len(set(f.values())) == len(f), m
         assert all(f[x] in t.adj[x] for x in f), m
-        labels = {(x, y): C._edge_label(m, x, y) for x in t.adj for y in t.adj[x]}
+        labels = {(x, y): _edge_label(m, x, y) for x in t.adj for y in t.adj[x]}
         assert _strong_by_all_pairs(m, f, labels), (m, f)
     assert found
 
@@ -277,6 +287,13 @@ def test_gls_strong_matching_budget():
     assert (ok, rep.method) == (True, "rank") and rep.rank_achieved == 66
     ok, rep = C.gls_check(parse("[12]+[10,11]+[9,10]+[6,9]+[8]+[8]+[5,8]+[7]+[7]+[6]+[6]+[4,6]+[5]+[3,5]+[2,3]+[1]"))
     assert (ok, rep.method) == (True, "strong-matching")
+
+
+# the two gls-stability instances whose search uses up the budget
+BUDGET_EXHAUSTING = (
+    "[5]+[4]+[4]+[3,4]+[3]+[3]+[2,3]+[2]+[2]+[2]+[1,2]+[1]+[1]+[0,1]+[0,1]+[0]+[0]",
+    "[5,6]+[5]+[4,5]+[4]+[4]+[4]+[3,4]+[3]+[3]+[3]+[3]+[2,3]+[2]+[2]+[2]+[1,2]+[1]+[1]+[0]+[0]",
+)
 
 
 def _strong_matching_leaf_by_leaf(m, budget):
@@ -343,13 +360,84 @@ def test_strong_matching_search_matches_leaf_by_leaf_search():
     assert found
     # both searches use up the budget on these: the two gls-stability instances
     # that do, the second also the 20-segment instance above
-    for text in (
-        "[5]+[4]+[4]+[3,4]+[3]+[3]+[2,3]+[2]+[2]+[2]+[1,2]+[1]+[1]+[0,1]+[0,1]+[0]+[0]",
-        "[5,6]+[5]+[4,5]+[4]+[4]+[4]+[3,4]+[3]+[3]+[3]+[3]+[2,3]+[2]+[2]+[2]+[1,2]+[1]+[1]+[0]+[0]",
-    ):
+    for text in BUDGET_EXHAUSTING:
         m = parse(text)
         assert _strong_matching_leaf_by_leaf(m, C.STRONG_MATCHING_BUDGET) is None
         assert C.find_strong_matching(m) is None
+    # a gls-stability instance whose first matching, after three cyclic leaves,
+    # costs 7,970 steps: most of them repeat states that the search adds from
+    # its table, and the budget must still cut at the same step
+    m = parse("[12]+[10,11]+[9,10]+[6,9]+[8]+[8]+[5,8]+[7]+[7]+[6]+[6]+[4,6]+[5]+[3,5]+[2,3]+[1]")
+    assert _strong_matching_leaf_by_leaf(m, 7_969) is None
+    want = _strong_matching_leaf_by_leaf(m, 7_970)
+    assert want is not None
+    assert C.find_strong_matching(m, 7_969) is None
+    assert C.find_strong_matching(m, 7_970) == want
+
+
+def _rank_dense(rows, p):
+    """Gauss-Jordan elimination mod p on dense rows, as the rank test did before its rows were sparse."""
+    rows = [row[:] for row in rows]
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    pivot_row = 0
+    for c in range(cols):
+        pivot = next((r for r in range(pivot_row, len(rows)) if rows[r][c] % p), None)
+        if pivot is None:
+            continue
+        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
+        inv = pow(rows[pivot_row][c], -1, p)
+        rows[pivot_row] = [(v * inv) % p for v in rows[pivot_row]]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][c]:
+                factor = rows[r][c]
+                rows[r] = [(v - factor * u) % p for v, u in zip(rows[r], rows[pivot_row])]
+        pivot_row += 1
+        rank += 1
+        if pivot_row == len(rows):
+            break
+    return rank
+
+
+def _sparse(rows, p, rng):
+    """The rows as {column: value}, some entries that vanish mod p kept."""
+    return [{c: v for c, v in enumerate(row) if v % p or rng.random() < 0.2} for row in rows]
+
+
+def test_rank_mod_matches_dense_elimination():
+    rng = random.Random(17)
+    seen = set()  # (p, full rank or not) over the nonzero ranks
+    for p in (2, 3, 5, C.GLS_PRIME):
+        for r in range(10):
+            for c in range(10):
+                for _ in range(6):
+                    density = rng.random()
+                    rows = [
+                        [rng.randrange(-p, 2 * p) if rng.random() < density else 0 for _ in range(c)]
+                        for _ in range(r)
+                    ]
+                    for t in range(r):
+                        kind = rng.randrange(4)
+                        if kind == 0:
+                            rows[t] = [0] * c
+                        elif kind == 1 and t:
+                            f = rng.randrange(p)
+                            rows[t] = [f * v for v in rows[rng.randrange(t)]]
+                    want = _rank_dense(rows, p)
+                    assert C._rank_mod(_sparse(rows, p, rng), p) == want, (p, rows)
+                    if want:
+                        seen.add((p, want == min(r, c)))
+    assert len(seen) == 8
+    # the rank rows of the two budget-exhausting gls-stability instances
+    for text, full in zip(BUDGET_EXHAUSTING, (47, 66)):
+        m = parse(text)
+        X, Xt, _, _ = M.link_tables(m)
+        assert len(X) == full
+        for p in (2, 3, C.GLS_PRIME):
+            lam = {x: rng.randrange(1, p) for x in sorted(X)}
+            rows = C._gls_vectors_mod(m, X, Xt, lam, p)
+            dense = [[row.get(c, 0) for c in range(len(Xt))] for row in rows]
+            assert C._rank_mod(rows, p) == _rank_dense(dense, p), (text, p)
 
 
 # ---------------------------------------------------------------------------
