@@ -273,7 +273,11 @@ def _sweep_minimal_unbalanced(args) -> int:
         by_brute = C.minimal_unbalanced_brute(m)
         if (by_cases is not None) != by_brute:
             bad += 1
-            _print(f"MISMATCH at instance {idx}: {m}")
+            name, r = by_cases or ("none", None)
+            case = name if r is None else f"{name} r={r}"
+            witness = None if by_brute else C.unbalanced_removal(m)
+            brute = "minimal" if by_brute else f"removing {witness} stays unbalanced" if witness else "balanced"
+            _print(f"MISMATCH at instance {idx}: {m}: classifier {case}; brute force {brute}")
     _print(
         {"sweep": "minimal-unbalanced", "k": args.k, "instances": total, "mismatches": bad}
         if args.json

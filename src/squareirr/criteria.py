@@ -487,16 +487,19 @@ def kl_criterion(m: Multisegment, pair: Optional[tuple[Perm, Perm]] = None) -> b
 def decide_square_irreducible(m: Multisegment, trials: int = 3, seed: int = 0) -> Verdict:
     """
     Evaluate all four criteria and cross-check.  For regular input the
-    common value is the verdict; for non-regular input only the two
-    criteria that are defined (gls, kl_one) are reported and no verdict is
-    claimed (the equivalence is conjectural there).
+    common value is the verdict.  For non-regular input only gls is reported
+    and no verdict is claimed (the equivalence is conjectural there).
+    kl_one is None there too: P_{sigma0,sigma}(1) of the factorization is no
+    criterion for such input, and it says False on square-irreducible ones
+    such as [1]+[1]+[0,1]+[0,1], whose segments are pairwise unlinked
+    (Zelevinsky, Ann. Sci. ENS 13 (1980), Thm. 9.7).
     """
     gls_value, gls_report = gls_check(m, trials=trials, seed=seed)
+    if not m.is_regular:
+        return Verdict(str(m), False, None, gls_report, None, None, None, None)
     # the factorization is the common input of kl_one and balanced, not a route
     pair = attached_pair(m)
     klv = kl_criterion(m, pair=pair)
-    if not m.is_regular:
-        return Verdict(str(m), False, None, gls_report, klv, None, None, None)
     bal = is_balanced(m, pair=pair)
     pat = has_forbidden_type(m) is None
     agree = bal == pat == klv == gls_value
@@ -588,11 +591,17 @@ def classify_minimal_unbalanced(
     return hits[0] if hits else None
 
 
+def unbalanced_removal(m: Multisegment) -> Optional[Segment]:
+    """The first detachable segment of m whose removal leaves the rest unbalanced, or None."""
+    for i in detachable_segments(m):
+        if not is_balanced(m.remove_at(i)):
+            return m.segments[i - 1]
+    return None
+
+
 def minimal_unbalanced_brute(m: Multisegment) -> bool:
     """Direct definition: unbalanced, with every detachable removal balanced."""
-    if is_balanced(m):
-        return False
-    return all(is_balanced(m.remove_at(i)) for i in detachable_segments(m))
+    return not is_balanced(m) and unbalanced_removal(m) is None
 
 
 # ---------------------------------------------------------------------------

@@ -291,25 +291,38 @@ def _require_hypotheses(sigma0: Perm, sigma: Perm) -> None:
 
 
 def _coset_sums(sigma0: Perm, sigma: Perm, m: int) -> list[CosetCheck]:
-    # col holds every P_{w,st} != 1 with w <= st, so the order test and the
-    # default 1 give P_{w,st} exactly
+    # the column of st holds every P_{w,st} != 1 with w <= st, so the order
+    # test and the default 1 give P_{w,st} exactly; keys are read as
+    # _SymContext.col says
     k = len(sigma)
     n = m * k
     ctx = K._ctx(n)
     st_idx = P.lehmer_index(P.inflate(sigma, m))
     st0_idx = P.lehmer_index(P.inflate(sigma0, m))
-    col = ctx.col(st_idx)
-    lengths, rank, HI = ctx.length, ctx.rank, ctx.HI
+    tag, lift, col = ctx.col(st_idx)
+    lengths, rank, HI, inv, conj = ctx.length, ctx.rank, ctx.HI, ctx.inv, ctx.conj
     lst, rst = lengths[st_idx], rank[st_idx]
+    lst0, rst0 = lengths[st0_idx], rank[st0_idx] | HI
+    at_one = {None: 1}  # P(1) by polynomial: a column holds few distinct ones
     checks = []
     for M, rep_idx, members in _group_buckets(n, m):
-        if not (ctx.leq(st0_idx, rep_idx) and ctx.leq(rep_idx, st_idx)):
+        lrep, rrep = lengths[rep_idx], rank[rep_idx]
+        # st0 <= rep <= st, the order test of ctx.leq inlined as below
+        if not (lst0 <= lrep <= lst and (rst0 - rrep) & HI == HI and ((rrep | HI) - rst) & HI == HI):
             continue
         lhs = 0
         for w_idx in members:
             if lengths[w_idx] <= lst and ((rank[w_idx] | HI) - rst) & HI == HI:  # ctx.leq(w_idx, st_idx)
-                p = col.get(w_idx)
-                val = 1 if p is None else K.packed_at_one(p)
+                key = w_idx
+                if tag & 1:
+                    key = inv[key]
+                if tag & 2:
+                    key = conj[key]
+                lifted = lift[key]
+                p = col.get(lifted if lifted > key else key)
+                val = at_one.get(p)
+                if val is None:
+                    val = at_one[p] = K.packed_at_one(p)
                 lhs += -val if lengths[w_idx] % 2 else val
         if m == 2:
             rhs = class_value(M)
@@ -327,7 +340,7 @@ def _parabolic_sums(sigma0: Perm, sigma: Perm, m: int) -> list[ParityCheck]:
     n = m * k
     ctx = K._ctx(n)
     st_idx = P.lehmer_index(P.inflate(sigma, m))
-    col = ctx.col(st_idx)
+    tag, lift, col = ctx.col(st_idx)
     word = [ctx.rmul[b + i] for b in range(0, n, m) for j in range(m - 1, 0, -1) for i in range(j)]
     out = []
     for sp in P.all_perms(k):
@@ -340,7 +353,13 @@ def _parabolic_sums(sigma0: Perm, sigma: Perm, m: int) -> list[ParityCheck]:
         total = 0
         for w_idx in coset:
             if ctx.leq(w_idx, st_idx):
-                p = col.get(w_idx)
+                key = w_idx
+                if tag & 1:
+                    key = ctx.inv[key]
+                if tag & 2:
+                    key = ctx.conj[key]
+                lifted = lift[key]
+                p = col.get(lifted if lifted > key else key)
                 val = 1 if p is None else K.packed_at_one(p)
                 total += -val if (ctx.length[w_idx] - ctx.length[spt_idx]) % 2 else val
         out.append(ParityCheck(sp, total))

@@ -28,7 +28,7 @@ import struct
 import threading
 from typing import Iterable, Optional
 
-from .perm import Perm, check_permutation, from_lehmer, is_smooth, lehmer_code, lehmer_index
+from .perm import Perm, check_permutation, from_lehmer, inverse, is_smooth, lehmer_code, lehmer_index
 
 _SHIFT = 16
 _MASK = 0xFFFF
@@ -233,6 +233,17 @@ class _SymContext:
     tail alone (its values fix those of the head), so each head's rows and
     each tail's rows are summed once and joined by a bitwise or.  The heads
     come from itertools.permutations, which is lexicographic too.
+
+    The KL columns are stored once per symmetry class and one-sided.
+    P_{x,w} = P_{x^-1,w^-1} = P_{w0 x w0, w0 w w0}, so ``_cols`` holds only the
+    canonical w, the smallest index of its four variants (``_canon``).  For s
+    the build descent of w (its first right descent), P_{xs,w} = P_{x,w}, so
+    the column stores each pair {x, xs} once, at the x with xs < x, as
+    (rmul[s], {x: packed P_{x,w} != 1}).  Swapping an ascent at adjacent
+    positions raises the index, so lifting a key k through s is
+    max(k, rmul[s][k]): one list lookup and one comparison.  Equal packed
+    polynomials share one int object (``_polys``).  ``col`` gives the rule
+    for reading a column.
     """
 
     def __init__(self, n: int):
@@ -243,7 +254,10 @@ class _SymContext:
         self.length, self.rmul, self.lmul, self.inv, self.conj = _index_tables(n)
         self.rank = _rank_table(n)
         self.HI = int.from_bytes(b"\x80" * (n * n), "little")
-        self._cols: dict[int, dict[int, int]] = {}
+        self._cols: dict[int, tuple[list[int], dict[int, int]]] = {}
+        self._polys: dict[int, int] = {}
+        # every column without entries: its lift is never needed, only valid
+        self._empty: tuple[list[int], dict[int, int]] = (self.rmul[0] if self.rmul else [0], {})
         self._mus: dict[int, list[tuple[int, int]]] = {}
         self._smooth: dict[int, bool] = {}
         self._lock = threading.RLock()
@@ -303,24 +317,27 @@ class _SymContext:
         """All x <= w, sorted by decreasing length, ties by increasing index."""
         return sorted(sorted(self._lower_set(w)), key=self.length.__getitem__, reverse=True)
 
-    def col(self, w: int) -> dict[int, int]:
-        """Sparse column {x: packed P_{x,w}} holding only entries != 1."""
+    def col(self, w: int) -> tuple[int, list[int], dict[int, int]]:
+        """
+        The stored column of w's symmetry class as (tag, lift, entries).  For
+        x <= w, P_{x,w} = entries.get(k, 1), where k is x mapped by inv if
+        tag & 1, then by conj if tag & 2, and then lifted: k = max(k, lift[k]).
+        """
         got = self._cols.get(w)
-        if got is not None:
-            return got
-        with self._lock:
-            got = self._cols.get(w)
-            if got is not None:
-                return got
-            wc, tag = self._canon(w)
-            if wc != w:
-                base = self.col(wc)
-                keys = map(self.inv.__getitem__, base) if tag & 1 else base
-                out = dict(zip(map(self.conj.__getitem__, keys) if tag & 2 else keys, base.values()))
-            else:
-                out = self._build(w)
-            self._cols[w] = out
-            return out
+        if got is not None:  # only canonical w are stored
+            return 0, got[0], got[1]
+        wc, tag = self._canon(w)
+        got = self._cols.get(wc)
+        if got is None:
+            with self._lock:
+                got = self._cols.get(wc) or self._install(wc)[0]
+        return tag, got[0], got[1]
+
+    def _install(self, w: int) -> tuple[tuple[list[int], dict[int, int]], Optional[set[int]]]:
+        """Build and store the column of the canonical w; returns _build's pair."""
+        got, below = self._build(w)
+        self._cols[w] = got
+        return got, below
 
     def mu_list(self, v: int) -> list[tuple[int, int]]:
         """All (z, mu(z, v)) with nonzero mu."""
@@ -333,57 +350,99 @@ class _SymContext:
                 return got
             out = [(z, 1) for z in self.covers(v)]
             lv = self.length[v]
-            for z, p in self.col(v).items():
+            tag, _, entries = self.col(v)
+            # only the stored x of a pair can have mu != 0 (every entry lies at
+            # distance 3 or more): its partner xs lacks a descent of the column,
+            # so deg P_{xs} <= (l(v) - l(xs) - 2)/2
+            for z, p in entries.items():
                 d = lv - self.length[z]
-                if d >= 3 and d % 2:
+                if d % 2:
                     top = (p >> (_SHIFT * ((d - 1) // 2))) & _MASK
                     if top:
+                        if tag & 1:
+                            z = self.inv[z]
+                        if tag & 2:
+                            z = self.conj[z]
                         out.append((z, top))
             out.sort(key=lambda t: -self.length[t[0]])
             self._mus[v] = out
             return out
 
-    def _build(self, w: int) -> dict[int, int]:
+    def _build(self, w: int) -> tuple[tuple[list[int], dict[int, int]], Optional[set[int]]]:
         """
-        Column of w from that of v = ws, s the first right descent of w, in
-        one unordered pass over [e, v]: by lifting, the x <= w with xs < x
-        are the ys > y for y in [e, v], and P_{y,w} = P_{ys,w}.
+        Column of the canonical w from that of v = ws, s the first right
+        descent of w, in one unordered pass over [e, v]: by lifting, the
+        x <= w with xs < x are the ys > y for y in [e, v], and P_{y,w} =
+        P_{ys,w}, so only x is stored.  Returns the column and [e, v], or None
+        for a column without entries.  When v is canonical and this call built
+        its column, [e, v] is grown by one step from the set that build
+        returned, instead of being peeled and grown again (``_lower_set``).
         """
-        length, rank, HI = self.length, self.rank, self.HI
+        length, rank, HI, inv, conj = self.length, self.rank, self.HI, self.inv, self.conj
         lw = length[w]
         if lw <= 2 or self.smooth(w):
-            return {}
+            return self._empty, None
         rmul_s = next(r for r in self.rmul if length[r[w]] < lw)
         v = rmul_s[w]
-        colv = self.col(v)
-        below = self._lower_set(v)
+        vc, tv = self._canon(v)
+        got = self._cols.get(vc)
+        below = None
+        if got is None:
+            got, below = self._install(vc)
+        liftv, colv = got
+        if below is None or tv:
+            below = self._lower_set(v)
+        else:
+            below |= set(map(liftv.__getitem__, below))  # [e, v] = [e, vs'] u [e, vs']s'
         # mu terms of v whose index has s as a right descent, with column handles
         terms = []
         for z, mu in self.mu_list(v):
-            if length[rmul_s[z]] < length[z]:
-                terms.append((z, mu << (_SHIFT * ((lw - length[z]) // 2)), length[z], rank[z], self.col(z)))
+            if rmul_s[z] < z:
+                terms.append((mu << (_SHIFT * ((lw - length[z]) // 2)), length[z], rank[z], *self.col(z)))
         out: dict[int, int] = {}
+        polys = self._polys
         for y in below:
             x = rmul_s[y]
-            lx = length[x]
-            if lx < length[y] or lw - lx <= 2:
+            if x < y:
                 continue
-            acc = colv.get(y, _PONE)
+            lx = length[x]
+            if lw - lx <= 2:
+                continue
+            # P_{y,v} + q P_{x,v}, each key read as col's docstring says
+            k = y
+            if tv & 1:
+                k = inv[k]
+            if tv & 2:
+                k = conj[k]
+            ks = liftv[k]
+            acc = colv.get(ks if ks > k else k, _PONE)
             if x in below:
-                acc += colv.get(x, _PONE) << _SHIFT
+                k = x
+                if tv & 1:
+                    k = inv[k]
+                if tv & 2:
+                    k = conj[k]
+                ks = liftv[k]
+                acc += colv.get(ks if ks > k else k, _PONE) << _SHIFT
             rx = rank[x] | HI
-            for z, shifted_mu, lz, rz, colz in terms:
+            for shifted_mu, lz, rz, tz, liftz, colz in terms:
                 if lz < lx:
                     break  # terms sorted by decreasing length
                 if (rx - rz) & HI == HI:  # x <= z; with lz == lx only x == z passes
-                    acc -= shifted_mu * colz.get(x, _PONE)
+                    k = x
+                    if tz & 1:
+                        k = inv[k]
+                    if tz & 2:
+                        k = conj[k]
+                    ks = liftz[k]
+                    acc -= shifted_mu * colz.get(ks if ks > k else k, _PONE)
             if acc != _PONE:
                 # constant term 1 and bounded degree; violations mean limb
                 # corruption in the packed arithmetic
                 if acc & _MASK != 1 or acc.bit_length() > _SHIFT * (lw // 2 + 1):
                     raise AssertionError(f"corrupt polynomial for pair {x}, {w}")
-                out[x] = out[y] = acc
-        return out
+                out[x] = polys.setdefault(acc, acc)
+        return (rmul_s, out), below
 
     def kl_packed(self, x: int, w: int) -> int:
         if x == w:
@@ -404,7 +463,13 @@ class _SymContext:
                 break
         if x == w or lw - length[x] <= 2 or self.smooth(w):
             return _PONE
-        return self.col(w).get(x, _PONE)
+        tag, lift, entries = self.col(w)
+        if tag & 1:
+            x = self.inv[x]
+        if tag & 2:
+            x = self.conj[x]
+        xs = lift[x]
+        return entries.get(xs if xs > x else x, _PONE)
 
 
 _contexts: dict[int, _SymContext] = {}
@@ -447,19 +512,6 @@ def kl_at_one(x: Perm, w: Perm) -> int:
     x, w = _check_pair(x, w)
     ctx = _ctx(len(x))
     return packed_at_one(ctx.kl_packed(lehmer_index(x), lehmer_index(w)))
-
-
-def kl_table(n: int) -> dict[tuple[Perm, Perm], KLPolynomial]:
-    """Full table for sweeps: every comparable pair of S_n (small ranks)."""
-    if n > 6:
-        raise ValueError("full tables are supported for rank up to S_6")
-    ctx = _ctx(n)
-    out: dict[tuple[Perm, Perm], KLPolynomial] = {}
-    for wi, w in enumerate(itertools.permutations(range(1, n + 1))):
-        for xi in ctx.interval_below(wi):
-            poly = KLPolynomial(_packed_to_tuple(ctx.kl_packed(xi, wi)))
-            out[(from_lehmer(n, xi), w)] = poly
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -635,13 +687,16 @@ def kl_oracle(x: Perm, w: Perm) -> KLPolynomial:
 
 
 def save_cache(path: str) -> int:
-    """Dump every cached recursion column; returns the number of entries."""
+    """
+    Dump every stored recursion column, one record per canonical w with the
+    one-sided entries of ``_SymContext``; returns the number of records.
+    """
     records = 0
     with open(path, "wb") as fh:
         fh.write(_CACHE_MAGIC)
         fh.write(struct.pack("<H", _CACHE_VERSION))
         for n, ctx in sorted(_contexts.items()):
-            for w, col in sorted(ctx._cols.items()):
+            for w, (_, col) in sorted(ctx._cols.items()):
                 fh.write(struct.pack("<BII", n, w, len(col)))
                 for x, packed in sorted(col.items()):
                     blob = packed.to_bytes((packed.bit_length() + 7) // 8 or 1, "little")
@@ -658,19 +713,32 @@ def _read_exact(fh, size: int) -> bytes:
     return got
 
 
+def _is_canonical(n: int, w: int) -> bool:
+    """w is the smallest index among its four symmetry variants (_SymContext._canon)."""
+    p = from_lehmer(n, w)
+    ip = inverse(p)
+    conj = [tuple(n + 1 - v for v in q[::-1]) for q in (p, ip)]  # w0 q w0
+    return w == min(map(lehmer_index, (p, ip, *conj)))
+
+
 def load_cache(path: str) -> int:
     """
-    Load a cache written by :func:`save_cache`; returns entries loaded.
+    Load a cache written by :func:`save_cache`; returns the records loaded.
 
-    Installs nothing unless the whole file decodes: a short read, a record
-    for S_n with n > MAX_TABLE_RANK, an index x or w of n! or more, or a
-    stored polynomial whose constant term is not 1 or whose degree exceeds
-    (l(w) - l(x) - 1)/2 (every column entry is P_{x,w} != 1 for some x < w)
-    raises ValueError.  Lengths are read off the indices, so no S_n is built.
-    A record that passes these checks but holds a wrong value still loads.
+    Installs nothing unless every record is one the store holds exactly.  A
+    short read, a record for S_n with n > MAX_TABLE_RANK, an index x or w of
+    n! or more, or a w that is not canonical raises ValueError: a version-1
+    file that also holds the relabelled columns of non-canonical w is refused
+    so.  An entry at an x without the build descent s of w stands for its
+    partner xs, where it is stored; the two entries of a pair must agree.
+    The stored x must then carry a polynomial other than 1, with constant
+    term 1 and degree at most (l(w) - l(x) - 1)/2, or ValueError is raised.
+    Lengths and descents are read off the Lehmer codes of the indices, so no
+    S_n is built before the whole file has passed.  A record that passes
+    these checks but holds a wrong value still loads.
     """
     columns = []
-    lengths_in: dict[int, dict[int, int]] = {}  # n -> {x: l(x)}, as indices recur across columns
+    codes_in: dict[int, dict[int, list[int]]] = {}  # n -> {x: Lehmer code}, as indices recur across columns
     with open(path, "rb") as fh:
         if fh.read(4) != _CACHE_MAGIC:
             raise ValueError("not a KL cache file")
@@ -689,22 +757,41 @@ def load_cache(path: str) -> int:
             N = math.factorial(n)
             if w >= N:
                 raise ValueError(f"corrupt KL cache record ({n}, {w}): index beyond S_{n}")
-            lw = sum(lehmer_code(n, w))
-            lengths = lengths_in.setdefault(n, {})
-            col = {}
+            if not _is_canonical(n, w):
+                raise ValueError(
+                    f"KL cache record ({n}, {w}) is for a non-canonical column; this KL cache"
+                    f" version {version} file holds relabelled copies, so delete it to rebuild it"
+                )
+            code_w = lehmer_code(n, w)
+            lw = sum(code_w)
+            # the build descent of w: digit i falls at a right descent
+            s = next((i for i in range(n - 1) if code_w[i] > code_w[i + 1]), None)
+            codes = codes_in.setdefault(n, {})
+            col: dict[int, int] = {}
             for _ in range(count):
                 x, blen = struct.unpack("<IH", _read_exact(fh, 6))
                 packed = int.from_bytes(_read_exact(fh, blen), "little")
-                lx = lengths.get(x)
-                if lx is None:
+                code = codes.get(x)
+                if code is None:
                     if x >= N:
                         raise ValueError(f"corrupt KL cache record ({n}, {w}, {x}): index beyond S_{n}")
-                    lx = lengths[x] = sum(lehmer_code(n, x))
-                # 2 deg <= l(w) - l(x) - 1, which also forces l(x) < l(w)
-                if packed & _MASK != 1 or lx + 2 * ((packed.bit_length() - 1) // _SHIFT) >= lw:
+                    code = codes[x] = lehmer_code(n, x)
+                key, lx = x, sum(code)
+                if s is not None and code[s] <= code[s + 1]:
+                    # x lacks s: its partner xs by the adjacent-swap rule, an
+                    # ascent (c_s, c_{s+1}) becoming (c_{s+1} + 1, c_s)
+                    d = code[s + 1] - code[s]
+                    key += (d + 1) * math.factorial(n - 1 - s) - d * math.factorial(n - 2 - s)
+                    lx += 1
+                # no 1 is stored, and 2 deg <= l(w) - l(key) - 1, which also
+                # forces l(key) < l(w)
+                if packed == _PONE or packed & _MASK != 1 or lx + 2 * ((packed.bit_length() - 1) // _SHIFT) >= lw:
                     raise ValueError(f"corrupt KL cache record ({n}, {w}, {x})")
-                col[x] = packed
-            columns.append((n, w, col))
-    for n, w, col in columns:
-        _ctx(n)._cols[w] = col
+                if col.setdefault(key, packed) != packed:
+                    raise ValueError(f"corrupt KL cache record ({n}, {w}, {x}): the partner entry {key} disagrees")
+            columns.append((n, w, s, col))
+    for n, w, s, col in columns:
+        ctx = _ctx(n)
+        polys = ctx._polys
+        ctx._cols[w] = (ctx.rmul[s], {x: polys.setdefault(p, p) for x, p in col.items()}) if col else ctx._empty
     return len(columns)

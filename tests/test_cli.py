@@ -34,6 +34,17 @@ def test_decide_text(capsys):
     assert "square-irreducible: True" in out
 
 
+def test_nonregular_input_reports_no_kl_one(capsys):
+    # square-irreducible (pairwise unlinked), where P(1) of the factorization is 2
+    code, out, _ = run(capsys, "decide", "[1]+[1]+[0,1]+[0,1]", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["regular"] is False and data["kl_one"] is None and data["gls"]["value"] is True
+    code, out, _ = run(capsys, "criteria", "[1]+[1]+[0,1]+[0,1]")
+    assert code == 0
+    assert "kl value 1:         None" in out.splitlines()
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "decide", "[4,5]+oops")
     assert code == 2
@@ -143,6 +154,17 @@ def test_sweep_minimal_unbalanced(capsys):
     code, out, _ = run(capsys, "sweep", "minimal-unbalanced", "--k", "4", "--json")
     assert code == 0
     assert json.loads(out.strip().splitlines()[-1])["mismatches"] == 0
+
+
+def test_sweep_minimal_unbalanced_mismatch_names_both_answers(capsys):
+    # the classifier's case and r, and the detachable segment whose removal
+    # the brute force found to stay unbalanced
+    code, out, _ = run(capsys, "sweep", "minimal-unbalanced", "--k", "5", "--limit", "114")
+    assert code == 1
+    assert out.splitlines()[0] == (
+        "MISMATCH at instance 113: [6,9]+[5,8]+[3,7]+[4,6]+[2,5]: "
+        "classifier 4*23*1 r=3; brute force removing [6,9] stays unbalanced"
+    )
 
 
 def test_kl_truncated_cache_file_exits_2(tmp_path, capsys, monkeypatch):
@@ -267,6 +289,16 @@ def _forge_kl_cache(cache, n, w, x, packed):
     cache.write_bytes(
         b"SQKL" + struct.pack("<H", 1) + struct.pack("<BII", n, w, 1) + struct.pack("<IH", x, len(blob)) + blob
     )
+
+
+def test_kl_cache_record_of_a_relabelled_column_exits_2_naming_the_version(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(K, "_contexts", {})
+    w = P.lehmer_index((3, 1, 4, 2))  # its inverse 2413 comes first
+    cache = tmp_path / "kl.bin"
+    _forge_kl_cache(cache, 4, w, 0, 1 + (1 << 16))
+    code, out, err = run(capsys, "kl", "1324", "3412", "--cache-file", str(cache))
+    assert code == 2 and out == ""
+    assert f"KL cache record (4, {w}) is for a non-canonical column" in err and "version 1" in err
 
 
 @pytest.mark.parametrize("case", ["degree", "index"])

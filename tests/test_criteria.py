@@ -465,10 +465,13 @@ def test_decide_factorizes_once(monkeypatch, text):
     real = B.factorize
     monkeypatch.setattr(B, "factorize", lambda x: calls.append(x) or real(x))
     v = C.decide_square_irreducible(m)
-    assert calls == [m]
-    assert v.kl_one == C.kl_criterion(m) == C.kl_criterion(m, pair=pair)
     if m.is_regular:
+        assert calls == [m]
+        assert v.kl_one == C.kl_criterion(m) == C.kl_criterion(m, pair=pair)
         assert v.balanced == C.is_balanced(m) == C.is_balanced(m, pair=pair)
+    else:
+        # neither kl_one nor balanced is defined, so nothing is factorized
+        assert calls == [] and v.kl_one is None
 
 
 def test_decide_nonregular_reports_raw_criteria():
@@ -476,7 +479,27 @@ def test_decide_nonregular_reports_raw_criteria():
     assert v.regular is False
     assert v.square_irreducible is None
     assert v.balanced is None and v.pattern_free is None and v.agree is None
-    assert isinstance(v.gls.value, bool) and isinstance(v.kl_one, bool)
+    assert isinstance(v.gls.value, bool) and v.kl_one is None
+
+
+def test_pairwise_unlinked_nonregular_input_has_no_kl_one_and_gls_true():
+    # products of pairwise unlinked segments are irreducible (Zelevinsky 1980,
+    # Thm. 9.7), so all of these are square-irreducible; P(1) of the
+    # factorization said False on 35 of them, [1]+[1]+[0,1]+[0,1] first
+    segs = [Segment(a, b) for a in range(5) for b in range(a, 5)]
+    cases = [
+        Multisegment(combo)
+        for r in (2, 3, 4)
+        for combo in itertools.combinations_with_replacement(segs, r)
+        if not any(M.linked(d1, d2) for d1, d2 in itertools.combinations(combo, 2))
+        and not Multisegment(combo).is_regular
+    ]
+    assert len(cases) == 1116
+    assert not C.kl_criterion(parse("[1]+[1]+[0,1]+[0,1]"))
+    for m in cases:
+        v = C.decide_square_irreducible(m)
+        assert v.kl_one is None and v.gls.value is True, str(m)
+        assert v.to_json()["kl_one"] is None
 
 
 def test_verdict_json_schema():
@@ -503,6 +526,15 @@ def test_equivalence_mini_sweep():
 
 # ---------------------------------------------------------------------------
 # minimal unbalanced
+
+
+def test_unbalanced_removal_names_the_witness():
+    m = parse("[6,9]+[5,8]+[3,7]+[4,6]+[2,5]")
+    assert C.unbalanced_removal(m) == Segment(6, 9)
+    assert not C.is_balanced(m) and not C.is_balanced(parse("[5,8]+[3,7]+[4,6]+[2,5]"))
+    assert not C.minimal_unbalanced_brute(m)
+    for m in (C.basic_family("4231", 5), C.basic_family("3412", 5, 3), C.basic_family("3412b", 5)):
+        assert C.unbalanced_removal(m) is None and C.minimal_unbalanced_brute(m), str(m)
 
 
 def test_classify_examples():

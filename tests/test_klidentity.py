@@ -415,7 +415,8 @@ def test_parabolic_sums_walk_each_coset_of_the_block_subgroup(k, m, monkeypatch)
     # with the signed sum over _block_subgroup (a weight linear in the digits
     # sums to 0 over both)
     ctx = K._ctx(m * k)
-    monkeypatch.setattr(ctx, "col", lambda w: _IndexWeights())
+    # tag 0 and a lift that keeps every key: the stand-in is read at x itself
+    monkeypatch.setattr(ctx, "col", lambda w: (0, range(ctx.N), _IndexWeights()))
     sigma0, sigma = P.identity(k), P.longest_element(k)
     st_idx = P.lehmer_index(P.inflate(sigma, m))
     want = []

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import struct
@@ -95,8 +96,21 @@ def test_symmetries():
         assert p == K.kl_polynomial(conj(x), conj(w))
 
 
+def kl_table(n):
+    """Full table: every comparable pair of S_n (small ranks)."""
+    if n > 6:
+        raise ValueError("full tables are supported for rank up to S_6")
+    ctx = K._ctx(n)
+    out = {}
+    for wi, w in enumerate(itertools.permutations(range(1, n + 1))):
+        for xi in ctx.interval_below(wi):
+            poly = K.KLPolynomial(K._packed_to_tuple(ctx.kl_packed(xi, wi)))
+            out[(P.from_lehmer(n, xi), w)] = poly
+    return out
+
+
 def test_full_table_mode():
-    table = K.kl_table(4)
+    table = kl_table(4)
     for (x, w), poly in table.items():
         assert P.bruhat_leq(x, w)
         assert poly == K.kl_polynomial(x, w)
@@ -105,22 +119,59 @@ def test_full_table_mode():
     )
     assert len(table) == comparable
     with pytest.raises(ValueError):
-        K.kl_table(7)
+        kl_table(7)
 
 
-def test_cache_roundtrip(tmp_path):
-    # populate a few nontrivial columns, save, wipe, reload
+def _read(ctx, x, w):
+    """P_{x,w} off the stored column as _SymContext.col says, with no other lifting."""
+    tag, lift, entries = ctx.col(w)
+    if tag & 1:
+        x = ctx.inv[x]
+    if tag & 2:
+        x = ctx.conj[x]
+    return entries.get(max(x, lift[x]), 1)
+
+
+def _reads(ctx, ws):
+    """
+    Every P_{x,u} with x <= u, for u each of the four symmetry variants of
+    each w, by kl_packed and by _read.
+    """
+    out = {}
+    for w in ws:
+        iw = ctx.inv[w]
+        for u in (w, iw, ctx.conj[w], ctx.conj[iw]):
+            below = ctx.interval_below(u)
+            out[u] = [ctx.kl_packed(x, u) for x in below], [_read(ctx, x, u) for x in below]
+    return out
+
+
+def _refuse_to_build_a_column(w):
+    pytest.fail(f"built the column of {w}")
+
+
+def test_cache_roundtrip(tmp_path, monkeypatch):
+    # populate nontrivial columns of S_5 and S_6 (canonical and not), save,
+    # wipe, reload; every read of every stored class comes back from the file
+    monkeypatch.setattr(K, "_contexts", {})
     K.kl_polynomial((1, 2, 3, 4, 5), (5, 3, 4, 2, 1))
+    K.kl_polynomial((1, 2, 3, 4, 5, 6), (4, 6, 5, 2, 3, 1))
+    K.kl_polynomial((1, 2, 3, 4, 5, 6), (3, 6, 4, 5, 1, 2))
     path = os.fspath(tmp_path / "kl.cache")
     saved = K.save_cache(path)
-    assert saved >= 1
-    ctx = K._ctx(5)
-    before = dict(ctx._cols)
-    ctx._cols.clear()
+    ctxs = {n: K._ctx(n) for n in (5, 6)}
+    stored = {n: set(ctx._cols) for n, ctx in ctxs.items()}
+    assert sum(map(len, stored.values())) == saved
+    before = {n: _reads(ctx, stored[n]) for n, ctx in ctxs.items()}
+    assert any(p != 1 for reads in before.values() for got, _ in reads.values() for p in got)
+    for ctx in ctxs.values():
+        ctx._cols.clear()
     loaded = K.load_cache(path)
     assert loaded == saved
-    for w, col in before.items():
-        assert ctx._cols.get(w) == col
+    for n, ctx in ctxs.items():
+        assert set(ctx._cols) == stored[n]
+        monkeypatch.setattr(ctx, "_build", _refuse_to_build_a_column)
+        assert _reads(ctx, stored[n]) == before[n], n
 
     with pytest.raises(ValueError):
         bad = tmp_path / "bad.cache"
@@ -136,8 +187,9 @@ def test_truncated_cache_never_loads_a_different_column(tmp_path, monkeypatch):
     path = tmp_path / "kl.cache"
     saved = K.save_cache(os.fspath(path))
     ctx = K._ctx(4)
-    original = dict(ctx._cols)
-    assert any(original.values())
+    original = _reads(ctx, ctx._cols)
+    assert any(p != 1 for got, _ in original.values() for p in got)
+    monkeypatch.setattr(ctx, "_build", _refuse_to_build_a_column)
     data = path.read_bytes()
     cut = tmp_path / "cut.cache"
     outcomes = {"ValueError": 0, "loaded": 0}
@@ -151,8 +203,8 @@ def test_truncated_cache_never_loads_a_different_column(tmp_path, monkeypatch):
             outcomes["ValueError"] += 1
             continue
         assert loaded < saved
-        for w, col in ctx._cols.items():
-            assert col == original[w], size
+        got = _reads(ctx, list(ctx._cols))
+        assert got == {u: original[u] for u in got}, size
         outcomes["loaded"] += 1
     assert outcomes["ValueError"] and outcomes["loaded"]
 
@@ -304,68 +356,136 @@ def test_recursion_matches_oracle_on_every_comparable_pair_of_s5():
         assert K.kl_polynomial(x, w) == K.kl_oracle(x, w), (x, w)
 
 
-def _build_by_element_scan(ctx, w):
+class _TwoSidedColumns:
     """
-    The element-by-element column build _build replaced, kept as the
-    reference: walks the sorted [e, w] and tests Bruhat order per term.
+    The column store _SymContext replaced, kept as the reference: a full
+    column {x: packed P_{x,w} != 1} for every w, relabelled from the
+    canonical one for the other three symmetry variants, and built for a
+    canonical w element by element over the sorted [e, w] with a Bruhat test
+    per term.  Only the tables of its own S_n context are used.
     """
-    if ctx.length[w] <= 2 or ctx.smooth(w):
-        return {}
-    word = P.from_lehmer(ctx.n, w)
-    s = next(i for i in range(ctx.n - 1) if word[i] > word[i + 1])
-    v = ctx.rmul[s][w]
-    colv = ctx.col(v)
-    lw = ctx.length[w]
 
-    def getp(x):
-        if x == v:
-            return 1
-        return colv.get(x, 1) if ctx.leq(x, v) else 0
+    def __init__(self, n):
+        self.ctx = K._SymContext(n)
+        self.cols = {}
+        self.mus = {}
 
-    terms = []
-    for z, mu in ctx.mu_list(v):
-        pz = P.from_lehmer(ctx.n, z)
-        if pz[s] > pz[s + 1]:
-            terms.append((z, mu << (16 * ((lw - ctx.length[z]) // 2)), ctx.length[z], ctx.col(z)))
-    out = {}
-    for x in ctx.interval_below(w):
-        lx = ctx.length[x]
-        if lw - lx <= 2:
-            continue
-        xs = ctx.rmul[s][x]
-        if ctx.length[xs] > lx:
-            if out.get(xs, 1) != 1:
-                out[x] = out[xs]
-            continue
-        acc = getp(xs) + (getp(x) << 16)
-        for z, shifted_mu, lz, colz in terms:
-            if lz < lx:
-                break
-            if x == z:
-                acc -= shifted_mu
-            elif ctx.leq(x, z):
-                acc -= shifted_mu * colz.get(x, 1)
-        if acc != 1:
-            out[x] = acc
-    return out
+    def col(self, w):
+        got = self.cols.get(w)
+        if got is None:
+            ctx = self.ctx
+            wc, tag = ctx._canon(w)
+            if wc != w:
+                base = self.col(wc)
+                keys = map(ctx.inv.__getitem__, base) if tag & 1 else base
+                got = dict(zip(map(ctx.conj.__getitem__, keys) if tag & 2 else keys, base.values()))
+            else:
+                got = self._scan(w)
+            self.cols[w] = got
+        return got
 
+    def mu_list(self, v):
+        got = self.mus.get(v)
+        if got is None:
+            ctx = self.ctx
+            got = [(z, 1) for z in ctx.covers(v)]
+            for z, p in self.col(v).items():
+                d = ctx.length[v] - ctx.length[z]
+                if d >= 3 and d % 2 and (p >> (16 * ((d - 1) // 2))) & 0xFFFF:
+                    got.append((z, (p >> (16 * ((d - 1) // 2))) & 0xFFFF))
+            got.sort(key=lambda t: -ctx.length[t[0]])
+            self.mus[v] = got
+        return got
 
-def _reference_context(n):
-    ctx = K._SymContext(n)
-    ctx._build = lambda w: _build_by_element_scan(ctx, w)
-    return ctx
+    def _scan(self, w):
+        ctx = self.ctx
+        if ctx.length[w] <= 2 or ctx.smooth(w):
+            return {}
+        word = P.from_lehmer(ctx.n, w)
+        s = next(i for i in range(ctx.n - 1) if word[i] > word[i + 1])
+        v = ctx.rmul[s][w]
+        colv = self.col(v)
+        lw = ctx.length[w]
+
+        def getp(x):
+            if x == v:
+                return 1
+            return colv.get(x, 1) if ctx.leq(x, v) else 0
+
+        terms = []
+        for z, mu in self.mu_list(v):
+            pz = P.from_lehmer(ctx.n, z)
+            if pz[s] > pz[s + 1]:
+                terms.append((z, mu << (16 * ((lw - ctx.length[z]) // 2)), ctx.length[z], self.col(z)))
+        out = {}
+        for x in ctx.interval_below(w):
+            lx = ctx.length[x]
+            if lw - lx <= 2:
+                continue
+            xs = ctx.rmul[s][x]
+            if ctx.length[xs] > lx:
+                if out.get(xs, 1) != 1:
+                    out[x] = out[xs]
+                continue
+            acc = getp(xs) + (getp(x) << 16)
+            for z, shifted_mu, lz, colz in terms:
+                if lz < lx:
+                    break
+                if x == z:
+                    acc -= shifted_mu
+                elif ctx.leq(x, z):
+                    acc -= shifted_mu * colz.get(x, 1)
+            if acc != 1:
+                out[x] = acc
+        return out
 
 
 def test_build_over_lower_interval_matches_element_scan():
-    # every column of S_6, then 200 seeded columns of S_7 and 30 of S_8; each
-    # side builds its own sub-columns, and every column either side built is
-    # compared
+    # every P_{x,w} with x <= w, read through the store (kl_packed, and the
+    # column rule alone), against the two-sided reference: every w of S_1 to
+    # S_6, then 200 seeded w of S_7 and 30 of S_8; each side builds its own
+    # sub-columns
     rng = random.Random(6)
-    for n, ws in ((6, range(720)), (7, rng.sample(range(5040), 200)), (8, rng.sample(range(40320), 30))):
-        ref, ctx = _reference_context(n), K._SymContext(n)
+    cases = [(n, range(math.factorial(n))) for n in range(1, 7)]
+    cases += [(7, rng.sample(range(5040), 200)), (8, rng.sample(range(40320), 30))]
+    for n, ws in cases:
+        ref, ctx = _TwoSidedColumns(n), K._SymContext(n)
         for w in ws:
-            assert ctx.col(w) == ref.col(w), (n, w)
-        assert ctx._cols == ref._cols, n
+            want = ref.col(w)
+            for x in ctx.interval_below(w):
+                assert ctx.kl_packed(x, w) == _read(ctx, x, w) == want.get(x, 1), (n, x, w)
+
+
+def test_store_holds_canonical_one_sided_interned_columns():
+    # every column of S_6 and 300 seeded ones of S_7 queried, canonical or not
+    rng = random.Random(7)
+    for n, ws in ((6, range(720)), (7, rng.sample(range(5040), 300))):
+        ctx = K._SymContext(n)
+        for w in ws:
+            ctx.col(w)
+        assert ctx._cols
+        for w, (lift, entries) in ctx._cols.items():
+            assert ctx._canon(w) == (w, 0), (n, w)
+            if entries:
+                s = next(i for i in range(n - 1) if ctx.length[ctx.rmul[i][w]] < ctx.length[w])
+                assert lift is ctx.rmul[s], (n, w)
+            for x, p in entries.items():
+                assert ctx.length[lift[x]] < ctx.length[x], (n, w, x)
+                assert p != 1 and ctx._polys[p] is p, (n, w, x)
+
+
+def test_mu_list_matches_full_column_reference_s6():
+    ctx = K._SymContext(6)
+    for v in range(ctx.N):
+        want = []
+        for z in ctx.interval_below(v):
+            d = ctx.length[v] - ctx.length[z]
+            mu = (ctx.kl_packed(z, v) >> (16 * ((d - 1) // 2))) & 0xFFFF if d % 2 else 0
+            if mu:
+                want.append((z, mu))
+        got = ctx.mu_list(v)
+        assert sorted(got) == sorted(want), v
+        assert [ctx.length[z] for z, _ in got] == sorted((ctx.length[z] for z, _ in got), reverse=True), v
 
 
 def _forged_cache(path, n, w, x, packed):
@@ -374,6 +494,54 @@ def _forged_cache(path, n, w, x, packed):
         b"SQKL" + struct.pack("<H", 1) + struct.pack("<BII", n, w, 1) + struct.pack("<IH", x, len(blob)) + blob
     )
     return os.fspath(path)
+
+
+def _two_sided_cache(path, n, ref, ws):
+    """A version-1 cache as the two-sided store wrote it: every entry of each column of ws."""
+    data = b"SQKL" + struct.pack("<H", 1)
+    for w in ws:
+        col = ref.col(w)
+        data += struct.pack("<BII", n, w, len(col))
+        for x, packed in sorted(col.items()):
+            blob = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+            data += struct.pack("<IH", x, len(blob)) + blob
+    path.write_bytes(data)
+    return os.fspath(path)
+
+
+def test_two_sided_cache_loads_exactly_or_is_refused(tmp_path, monkeypatch):
+    monkeypatch.setattr(K, "_contexts", {})
+    ref = _TwoSidedColumns(5)
+    canonical = [w for w in range(120) if ref.ctx._canon(w)[0] == w and ref.col(w)]
+    relabelled = next(w for w in range(120) if ref.ctx._canon(w)[0] != w and ref.col(w))
+    # canonical two-sided columns load, every partner folded onto its stored x
+    path = _two_sided_cache(tmp_path / "two.cache", 5, ref, canonical)
+    assert K.load_cache(path) == len(canonical)
+    ctx = K._ctx(5)
+    monkeypatch.setattr(ctx, "_build", _refuse_to_build_a_column)
+    for u, (got, read) in _reads(ctx, canonical).items():
+        assert got == read == [ref.col(u).get(x, 1) for x in ctx.interval_below(u)], u
+    # a relabelled column is refused, and the message names the version
+    ctx._cols.clear()
+    path = _two_sided_cache(tmp_path / "two.cache", 5, ref, canonical + [relabelled])
+    with pytest.raises(ValueError, match=rf"\(5, {relabelled}\) is for a non-canonical column.*version 1"):
+        K.load_cache(path)
+    assert not ctx._cols
+    # partners that disagree, and a stored 1, are refused
+    w = canonical[-1]
+    col = ref.col(w)
+    lift = ctx.rmul[next(i for i in range(4) if ctx.length[ctx.rmul[i][w]] < ctx.length[w])]
+    x = next(x for x in col if lift[x] < x and lift[x] in col)
+    for changed, message in (
+        ({**col, lift[x]: col[x] + (1 << 16)}, rf"\(5, {w}, {x}\): the partner entry {x} disagrees"),
+        ({**col, x: 1}, rf"corrupt KL cache record \(5, {w}, {x}\)$"),
+        ({lift[x]: col[x], x: 1}, rf"corrupt KL cache record \(5, {w}, {x}\)$"),
+    ):
+        monkeypatch.setitem(ref.cols, w, changed)
+        path = _two_sided_cache(tmp_path / "two.cache", 5, ref, [w])
+        with pytest.raises(ValueError, match=message):
+            K.load_cache(path)
+    assert not ctx._cols
 
 
 def test_cache_index_length_is_the_factorial_digit_sum():
