@@ -12,9 +12,10 @@ signed count of decompositions into permutation matrices in general.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 from . import klpoly as K
 from . import perm as P
@@ -38,38 +39,6 @@ def coset_matrix(w: Perm, m: int) -> CosetMatrix:
     for pos, val in enumerate(w):
         rows[pos // m][(val - 1) // m] += 1
     return CosetMatrix(tuple(tuple(r) for r in rows), m)
-
-
-def all_coset_matrices(k: int, m: int = 2) -> Iterator[CosetMatrix]:
-    """All k x k nonnegative matrices with every row and column sum m."""
-
-    def rows_with_budget(budget: list[int]) -> Iterator[tuple[int, ...]]:
-        row = [0] * k
-
-        def rec(j: int, remaining: int) -> Iterator[tuple[int, ...]]:
-            if j == k:
-                if remaining == 0:
-                    yield tuple(row)
-                return
-            top = min(remaining, budget[j])
-            for v in range(top, -1, -1):
-                row[j] = v
-                yield from rec(j + 1, remaining - v)
-            row[j] = 0
-
-        yield from rec(0, m)
-
-    def rec_rows(i: int, budget: list[int], acc: list[tuple[int, ...]]) -> Iterator[CosetMatrix]:
-        if i == k:
-            yield CosetMatrix(tuple(acc), m)
-            return
-        for row in rows_with_budget(budget):
-            nxt = [b - v for b, v in zip(budget, row)]
-            acc.append(row)
-            yield from rec_rows(i + 1, nxt, acc)
-            acc.pop()
-
-    yield from rec_rows(0, [m] * k, [])
 
 
 def min_rep(M: CosetMatrix) -> Perm:
@@ -185,9 +154,12 @@ def class_value(M: CosetMatrix) -> int:
     return sgn * (1 << r)
 
 
-def double_coset_leq(M1: CosetMatrix, M2: CosetMatrix) -> bool:
-    """Order on double cosets through minimal-length representatives."""
-    return P.bruhat_leq(min_rep(M1), min_rep(M2))
+@functools.lru_cache(maxsize=None)
+def _closed_form(M: CosetMatrix) -> int:
+    """The right-hand side for M: class_value at width 2, else the signed decomposition count."""
+    if M.m == 2:
+        return class_value(M)
+    return sum(P.sign(iota(decomp)) for decomp in birkhoff_decompositions(M))
 
 
 # ---------------------------------------------------------------------------
@@ -291,44 +263,21 @@ def _require_hypotheses(sigma0: Perm, sigma: Perm) -> None:
 
 
 def _coset_sums(sigma0: Perm, sigma: Perm, m: int) -> list[CosetCheck]:
-    # the column of st holds every P_{w,st} != 1 with w <= st, so the order
-    # test and the default 1 give P_{w,st} exactly; keys are read as
-    # _SymContext.col says
+    # the column of st holds every P_{w,st} != 1 with w <= st, so ctx.values
+    # on the members below st gives each P_{w,st}(1) exactly
     k = len(sigma)
     n = m * k
     ctx = K._ctx(n)
     st_idx = P.lehmer_index(P.inflate(sigma, m))
     st0_idx = P.lehmer_index(P.inflate(sigma0, m))
-    tag, lift, col = ctx.col(st_idx)
-    lengths, rank, HI, inv, conj = ctx.length, ctx.rank, ctx.HI, ctx.inv, ctx.conj
-    lst, rst = lengths[st_idx], rank[st_idx]
-    lst0, rst0 = lengths[st0_idx], rank[st0_idx] | HI
-    at_one = {None: 1}  # P(1) by polynomial: a column holds few distinct ones
+    length = ctx.length
     checks = []
     for M, rep_idx, members in _group_buckets(n, m):
-        lrep, rrep = lengths[rep_idx], rank[rep_idx]
-        # st0 <= rep <= st, the order test of ctx.leq inlined as below
-        if not (lst0 <= lrep <= lst and (rst0 - rrep) & HI == HI and ((rrep | HI) - rst) & HI == HI):
+        if not (ctx.leq(st0_idx, rep_idx) and ctx.leq(rep_idx, st_idx)):
             continue
-        lhs = 0
-        for w_idx in members:
-            if lengths[w_idx] <= lst and ((rank[w_idx] | HI) - rst) & HI == HI:  # ctx.leq(w_idx, st_idx)
-                key = w_idx
-                if tag & 1:
-                    key = inv[key]
-                if tag & 2:
-                    key = conj[key]
-                lifted = lift[key]
-                p = col.get(lifted if lifted > key else key)
-                val = at_one.get(p)
-                if val is None:
-                    val = at_one[p] = K.packed_at_one(p)
-                lhs += -val if lengths[w_idx] % 2 else val
-        if m == 2:
-            rhs = class_value(M)
-        else:
-            rhs = sum(P.sign(iota(decomp)) for decomp in birkhoff_decompositions(M))
-        checks.append(CosetCheck(M, lhs, rhs))
+        ws = ctx.below(st_idx, members)
+        lhs = sum([-val if length[w] % 2 else val for w, val in zip(ws, ctx.values(st_idx, ws))])
+        checks.append(CosetCheck(M, lhs, _closed_form(M)))
     return checks
 
 
@@ -340,7 +289,7 @@ def _parabolic_sums(sigma0: Perm, sigma: Perm, m: int) -> list[ParityCheck]:
     n = m * k
     ctx = K._ctx(n)
     st_idx = P.lehmer_index(P.inflate(sigma, m))
-    tag, lift, col = ctx.col(st_idx)
+    length = ctx.length
     word = [ctx.rmul[b + i] for b in range(0, n, m) for j in range(m - 1, 0, -1) for i in range(j)]
     out = []
     for sp in P.all_perms(k):
@@ -350,18 +299,9 @@ def _parabolic_sums(sigma0: Perm, sigma: Perm, m: int) -> list[ParityCheck]:
         coset = {spt_idx}
         for rmul_s in word:
             coset |= set(map(rmul_s.__getitem__, coset))
-        total = 0
-        for w_idx in coset:
-            if ctx.leq(w_idx, st_idx):
-                key = w_idx
-                if tag & 1:
-                    key = ctx.inv[key]
-                if tag & 2:
-                    key = ctx.conj[key]
-                lifted = lift[key]
-                p = col.get(lifted if lifted > key else key)
-                val = 1 if p is None else K.packed_at_one(p)
-                total += -val if (ctx.length[w_idx] - ctx.length[spt_idx]) % 2 else val
+        ws = ctx.below(st_idx, coset)
+        lspt = length[spt_idx]
+        total = sum([-val if (length[w] - lspt) % 2 else val for w, val in zip(ws, ctx.values(st_idx, ws))])
         out.append(ParityCheck(sp, total))
     return out
 
@@ -445,62 +385,47 @@ def latin_square_delta(m: int) -> int:
     return total
 
 
-def latin_square_count(m: int) -> int:
-    """Number of Latin squares of order m (same enumeration, unsigned)."""
-    return sum(1 for _ in _latin_squares(m))
-
-
 # ---------------------------------------------------------------------------
 # the rank-agreement predicate
 
 
-def tight_predicate(sigma0: Perm, sigma: Perm, tau: Perm) -> bool:
-    """
-    If tau matches the rank function of sigma wherever sigma0 does, then
-    tau <= sigma; this function evaluates the implication for one tau.
-    """
-    r0 = P.rank_matrix(sigma0)
-    rs = P.rank_matrix(sigma)
-    rt = P.rank_matrix(tau)
-    k = len(sigma)
-    agrees = all(
-        rt[i][j] == rs[i][j]
-        for i in range(k)
-        for j in range(k)
-        if r0[i][j] == rs[i][j]
-    )
-    if not agrees:
-        return True
-    return P.bruhat_leq(tau, sigma)
-
-
 def tight_violations(k: int) -> list[tuple[Perm, Perm, Perm]]:
     """
-    Exhaustive scan of the predicate over all smooth pairs in S_k and all
-    tau; returns every violating triple (empty list expected).
-    """
-    import numpy as np
+    Every triple (sigma0, sigma, tau) in S_k with (sigma0, sigma) a smooth
+    pair, r_tau = r_sigma wherever r_sigma0 = r_sigma, and tau not <= sigma,
+    ordered by sigma, then sigma0, then tau (empty list expected).
 
+    For fixed sigma the premise depends on sigma0 only through the cells
+    where r_sigma0 = r_sigma, so [e, sigma] is grouped by that mask.  A mask
+    is clean when every tau agreeing with sigma on it lies below sigma; a
+    mask that contains a clean one is clean too.  So the masks are visited
+    by increasing size, one that contains a clean mask is skipped, and only
+    the others test their members for smoothness and scan the tau outside
+    [e, sigma].
+    """
+    ctx = K._ctx(k)
     perms = P.sn(k)
-    ranks = P.rank_table(k).astype(np.int16)
-    leq = P.leq_table(k)
-    lengths = np.array([P.length(w) for w in perms])
-    trans_idx = []
-    index = {w: i for i, w in enumerate(perms)}
-    for i, j in P.transpositions(k):
-        trans_idx.append([index[P.apply_transposition(w, i, j)] for w in perms])
-    trans_idx = np.array(trans_idx)
     violations = []
-    for si, sigma in enumerate(perms):
-        below = np.nonzero(leq[:, si])[0]
-        # j-counts for all candidates sigma0 <= sigma at once
-        jc = leq[trans_idx[:, below], si].sum(axis=0)
-        smooth_candidates = below[jc == lengths[si]]
-        rs = ranks[si]
-        for s0i in smooth_candidates:
-            mask = ranks[s0i] == rs
-            tau_ok = (ranks[:, mask] == rs[mask]).all(axis=1)
-            bad = np.nonzero(tau_ok & ~leq[:, si])[0]
-            for ti in bad:
-                violations.append((perms[s0i], sigma, perms[ti]))
+    for s in range(ctx.N):
+        below = ctx.interval_below(s)
+        groups: dict[int, list[int]] = {}
+        for x, cells in zip(below, ctx.equal_cells(s, below)):
+            groups.setdefault(cells, []).append(x)
+        inside = set(below)
+        outside = [t for t in range(ctx.N) if t not in inside]
+        outside_cells = ctx.equal_cells(s, outside)
+        clean: list[int] = []
+        found = []
+        for cells in sorted(groups, key=int.bit_count):
+            if any(c & cells == c for c in clean):
+                continue
+            smooth = [x for x in groups[cells] if P.smooth_pair_data(perms[x], perms[s]).is_smooth]
+            if not smooth:
+                continue
+            bad = [t for t, c in zip(outside, outside_cells) if c & cells == cells]
+            if bad:
+                found += ((x, t) for x in smooth for t in bad)
+            else:
+                clean.append(cells)
+        violations += ((perms[x], perms[s], perms[t]) for x, t in sorted(found))
     return violations

@@ -22,6 +22,7 @@ coefficientwise-nonnegative result.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import struct
@@ -54,6 +55,7 @@ def _packed_to_tuple(p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)  # interned polynomials are few: 1,117 distinct in S_8
 def packed_at_one(p: int) -> int:
     """Value at q = 1 of a packed polynomial: the sum of its coefficients."""
     total = 0
@@ -243,7 +245,8 @@ class _SymContext:
     positions raises the index, so lifting a key k through s is
     max(k, rmul[s][k]): one list lookup and one comparison.  Equal packed
     polynomials share one int object (``_polys``).  ``col`` gives the rule
-    for reading a column.
+    for reading a column.  Other modules read the order, the columns and the
+    ranks through ``leq``, ``below``, ``values`` and ``equal_cells`` only.
     """
 
     def __init__(self, n: int):
@@ -266,6 +269,32 @@ class _SymContext:
         """x <= w in Bruhat order: x = w, or x shorter with r_w <= r_x cell by cell."""
         HI = self.HI
         return x == w or (self.length[x] < self.length[w] and ((self.rank[x] | HI) - self.rank[w]) & HI == HI)
+
+    def below(self, w: int, xs: Iterable[int]) -> list[int]:
+        """The x in xs with x <= w, in their order (``leq`` on each)."""
+        length, rank, HI = self.length, self.rank, self.HI
+        lw, rw = length[w], rank[w]
+        return [x for x in xs if length[x] <= lw and ((rank[x] | HI) - rw) & HI == HI]
+
+    def values(self, w: int, xs: Iterable[int]) -> list[int]:
+        """P_{x,w}(1) for each x in xs, every x <= w; the keys are read as ``col`` says."""
+        tag, lift, entries = self.col(w)
+        if tag & 1:
+            xs = map(self.inv.__getitem__, xs)
+        if tag & 2:
+            xs = map(self.conj.__getitem__, xs)
+        get = entries.get
+        return [packed_at_one(get(s if (s := lift[k]) > k else k, _PONE)) for k in xs]
+
+    def equal_cells(self, w: int, xs: Iterable[int]) -> list[int]:
+        """
+        For each x in xs, the cells where r_x = r_w: one int with the high bit
+        of each such cell's byte set (a rank byte stays below 128, so its
+        difference from 0x80 borrows nothing).
+        """
+        rank, HI = self.rank, self.HI
+        LO, rw = HI >> 7, rank[w]
+        return [HI ^ ((((rank[x] ^ rw) | HI) - LO) & HI) for x in xs]
 
     def smooth(self, w: int) -> bool:
         got = self._smooth.get(w)

@@ -46,10 +46,6 @@ def identity(k: int) -> Perm:
     return tuple(range(1, k + 1))
 
 
-def longest_element(k: int) -> Perm:
-    return tuple(range(k, 0, -1))
-
-
 def inverse(w: Perm) -> Perm:
     inv = [0] * len(w)
     for i, v in enumerate(w):
@@ -71,12 +67,6 @@ def length(w: Perm) -> int:
 
 def sign(w: Perm) -> int:
     return -1 if length(w) % 2 else 1
-
-
-def ascent_set(w: Perm) -> frozenset[int]:
-    """{i < k : w(i) < w(i+1)} together with k."""
-    k = len(w)
-    return frozenset(i for i in range(1, k) if w[i - 1] < w[i]) | {k}
 
 
 def rank_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:
@@ -111,18 +101,6 @@ def bruhat_leq(t: Perm, s: Perm) -> bool:
                 if d[j] < 0:
                     return False
     return True
-
-
-def transpositions(k: int) -> Iterator[tuple[int, int]]:
-    """All pairs (i, j) with 1 <= i < j <= k, naming the transposition t_{i,j}."""
-    return itertools.combinations(range(1, k + 1), 2)
-
-
-def apply_transposition(w: Perm, i: int, j: int) -> Perm:
-    """Right multiplication w * t_{i,j}: swaps the entries at positions i, j."""
-    word = list(w)
-    word[i - 1], word[j - 1] = word[j - 1], word[i - 1]
-    return tuple(word)
 
 
 class SmoothPairData(NamedTuple):
@@ -350,32 +328,6 @@ def from_lehmer(n: int, w: int) -> Perm:
 def sn(k: int) -> tuple[Perm, ...]:
     """All of S_k in lexicographic order (cached)."""
     return tuple(all_perms(k))
-
-
-@lru_cache(maxsize=8)
-def rank_table(k: int):
-    """numpy array of shape (k!, k*k) holding every rank matrix, lex order."""
-    import numpy as np
-
-    perms = sn(k)
-    table = np.empty((len(perms), k * k), dtype=np.uint8)
-    for idx, w in enumerate(perms):
-        rm = rank_matrix(w)
-        table[idx] = [rm[i][j] for i in range(k) for j in range(k)]
-    return table
-
-
-@lru_cache(maxsize=4)
-def leq_table(k: int):
-    """Boolean matrix L with L[x, w] = (x <= w in Bruhat order), lex indices."""
-    import numpy as np
-
-    table = rank_table(k)
-    n = table.shape[0]
-    out = np.empty((n, n), dtype=bool)
-    for w in range(n):
-        out[:, w] = (table >= table[w]).all(axis=1)
-    return out
 
 
 def parse_perm(text: str) -> Perm:

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import os
 import struct
+import subprocess
+import sys
 import time
 
 import pytest
@@ -17,6 +19,12 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _src_env():
+    """The environment of a fresh interpreter that imports squareirr from this tree."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
 def test_decide_json(capsys):
@@ -314,3 +322,38 @@ def test_kl_cache_record_failing_its_checks_exits_2(tmp_path, capsys, monkeypatc
     code, out, err = run(capsys, "kl", "1324", "3412", "--cache-file", str(cache))
     assert code == 2 and out == ""
     assert "corrupt KL cache record" in err
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the reader is gone before the first line is written, as `| head -1` is
+    # for a longer output; this sweep exits 0 when its output is read
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "squareirr.cli", "sweep", "minimal-unbalanced", "--k", "4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_src_env(),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err and err == b""
+
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+import squareirr
+from squareirr import klidentity
+assert squareirr.decide_square_irreducible(squareirr.parse_multisegment("[4,5]+[2,4]+[3]+[1,2]")).agree
+assert str(squareirr.kl_polynomial((1, 2, 3, 4), (3, 4, 1, 2))) == "1 + q"
+assert squareirr.verify_klidnt((1, 2, 3), (3, 2, 1)).passed
+assert klidentity.tight_violations(5) == []
+"""
+
+
+def test_library_runs_without_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY], env=_src_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

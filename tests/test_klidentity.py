@@ -6,7 +6,40 @@ import pytest
 from squareirr import klidentity as KI
 from squareirr import klpoly as K
 from squareirr import perm as P
-from squareirr.klidentity import CosetMatrix
+from squareirr.klidentity import CosetMatrix, _latin_squares, min_rep
+from squareirr.perm import Perm
+
+import reference as R
+
+
+def double_coset_leq(M1: CosetMatrix, M2: CosetMatrix) -> bool:
+    """Order on double cosets through minimal-length representatives."""
+    return P.bruhat_leq(min_rep(M1), min_rep(M2))
+
+
+def latin_square_count(m: int) -> int:
+    """Number of Latin squares of order m (same enumeration, unsigned)."""
+    return sum(1 for _ in _latin_squares(m))
+
+
+def tight_predicate(sigma0: Perm, sigma: Perm, tau: Perm) -> bool:
+    """
+    If tau matches the rank function of sigma wherever sigma0 does, then
+    tau <= sigma; this function evaluates the implication for one tau.
+    """
+    r0 = P.rank_matrix(sigma0)
+    rs = P.rank_matrix(sigma)
+    rt = P.rank_matrix(tau)
+    k = len(sigma)
+    agrees = all(
+        rt[i][j] == rs[i][j]
+        for i in range(k)
+        for j in range(k)
+        if r0[i][j] == rs[i][j]
+    )
+    if not agrees:
+        return True
+    return P.bruhat_leq(tau, sigma)
 
 
 def _compose(u, v):
@@ -78,10 +111,10 @@ def test_min_rep_spot_check_s8():
 
 
 def test_all_coset_matrices_counts():
-    assert sum(1 for _ in KI.all_coset_matrices(2, 2)) == 3
-    assert sum(1 for _ in KI.all_coset_matrices(3, 2)) == 21
-    assert sum(1 for _ in KI.all_coset_matrices(4, 2)) == 282
-    ms = set(KI.all_coset_matrices(3, 3))
+    assert sum(1 for _ in R.all_coset_matrices(2, 2)) == 3
+    assert sum(1 for _ in R.all_coset_matrices(3, 2)) == 21
+    assert sum(1 for _ in R.all_coset_matrices(4, 2)) == 282
+    ms = set(R.all_coset_matrices(3, 3))
     assert all(
         all(sum(row) == 3 for row in M.entries)
         and all(sum(col) == 3 for col in zip(*M.entries))
@@ -99,7 +132,7 @@ def test_birkhoff_examples():
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_birkhoff_count_and_class_constancy(k):
-    for M in KI.all_coset_matrices(k, 2):
+    for M in R.all_coset_matrices(k, 2):
         decs = KI.birkhoff_decompositions(M)
         r = sum(1 for c in KI._row_classes(M) if len(c) > 1)
         assert len(decs) == 2**r
@@ -180,7 +213,7 @@ def test_verify_higher_bounds():
 def test_sign_not_constant_on_width3_intersections():
     # for width 3 the sign varies inside some block-coset meet with the grid
     found = False
-    for M in KI.all_coset_matrices(3, 3):
+    for M in R.all_coset_matrices(3, 3):
         signs = {P.sign(KI.iota(d)) for d in KI.birkhoff_decompositions(M)}
         if len(signs) == 2:
             found = True
@@ -193,8 +226,8 @@ def test_latin_squares():
     assert KI.latin_square_delta(2) == 2
     assert KI.latin_square_delta(3) == 0
     assert KI.latin_square_delta(4) == 576
-    assert KI.latin_square_count(3) == 12
-    assert KI.latin_square_count(4) == 576
+    assert latin_square_count(3) == 12
+    assert latin_square_count(4) == 576
     with pytest.raises(ValueError):
         KI.latin_square_delta(5)
 
@@ -222,7 +255,7 @@ def test_double_coset_order_consistency(k):
             M = KI.coset_matrix(KI.iota((s1, s2)), 2)
             for sigma in P.all_perms(k):
                 st = P.inflate(sigma, 2)
-                by_minrep = KI.double_coset_leq(M, KI.coset_matrix(st, 2))
+                by_minrep = double_coset_leq(M, KI.coset_matrix(st, 2))
                 r1, r2, rs = (
                     P.rank_matrix(s1),
                     P.rank_matrix(s2),
@@ -253,7 +286,7 @@ def test_dblsame_property():
                         if not P.bruhat_leq(sigma0, s2):
                             continue
                         M = KI.coset_matrix(KI.iota((s1, s2)), 2)
-                        if KI.double_coset_leq(M, Mtop):
+                        if double_coset_leq(M, Mtop):
                             assert P.bruhat_leq(s1, sigma)
                             assert P.bruhat_leq(s2, sigma)
 
@@ -287,7 +320,7 @@ def test_dblsame_property_k4():
                     if rng.random() < 0.002:
                         M = KI.coset_matrix(KI.iota((s1, s2)), 2)
                         Mtop = KI.coset_matrix(P.inflate(sigma, 2), 2)
-                        assert KI.double_coset_leq(M, Mtop) == dominated
+                        assert double_coset_leq(M, Mtop) == dominated
                         cross_checked += 1
     assert cross_checked > 20
 
@@ -302,9 +335,38 @@ def test_identity_fails_without_213_avoidance():
 
 
 def test_tight_predicate_small():
-    assert KI.tight_predicate((1, 2, 4, 3), (4, 2, 3, 1), (3, 4, 1, 2)) in (True, False)
+    assert tight_predicate((1, 2, 4, 3), (4, 2, 3, 1), (3, 4, 1, 2)) in (True, False)
     for k in (2, 3, 4):
         assert KI.tight_violations(k) == []
+
+
+def _every_pair_smooth(monkeypatch):
+    """Drop the smoothness filter of tight_violations: violations then exist."""
+    monkeypatch.setattr(P, "smooth_pair_data", lambda sigma0, sigma: P.SmoothPairData(0, 0, True))
+
+
+@pytest.mark.parametrize("k,count", [(2, 0), (3, 0), (4, 16), (5, 2896)])
+def test_tight_scan_without_smoothness_equals_the_tables(k, count, monkeypatch):
+    # the pruned scan over masks against numpy's scan of every sigma0 <= sigma
+    _every_pair_smooth(monkeypatch)
+    got = KI.tight_violations(k)
+    assert len(got) == count
+    assert got == R.tight_violations_by_tables(k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_tight_scan_without_smoothness_equals_the_predicate(k, monkeypatch):
+    _every_pair_smooth(monkeypatch)
+    perms = P.sn(k)
+    want = [
+        (sigma0, sigma, tau)
+        for sigma in perms
+        for sigma0 in perms
+        if P.bruhat_leq(sigma0, sigma)
+        for tau in perms
+        if not tight_predicate(sigma0, sigma, tau)
+    ]
+    assert KI.tight_violations(k) == want
 
 
 def _packed_at_one_by_loop(packed):
@@ -417,7 +479,7 @@ def test_parabolic_sums_walk_each_coset_of_the_block_subgroup(k, m, monkeypatch)
     ctx = K._ctx(m * k)
     # tag 0 and a lift that keeps every key: the stand-in is read at x itself
     monkeypatch.setattr(ctx, "col", lambda w: (0, range(ctx.N), _IndexWeights()))
-    sigma0, sigma = P.identity(k), P.longest_element(k)
+    sigma0, sigma = P.identity(k), R.longest_element(k)
     st_idx = P.lehmer_index(P.inflate(sigma, m))
     want = []
     for sp in P.all_perms(k):

