@@ -78,12 +78,18 @@ def _cmd_derivative(args) -> int:
     return 0
 
 
+def _load_cache_file(path: Optional[str]) -> None:
+    """Check a --cache-file path before any work is done, then load the file if it exists."""
+    if path and os.path.isdir(path):
+        raise ValueError(f"--cache-file {path} is a directory")
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"--cache-file {path} lies in {os.path.dirname(path)}, which is not a directory")
+    if path and os.path.exists(path):
+        K.load_cache(path)
+
+
 def _cmd_kl(args) -> int:
-    if args.cache_file:
-        try:
-            K.load_cache(args.cache_file)
-        except FileNotFoundError:
-            pass
+    _load_cache_file(args.cache_file)
     x = P.parse_perm(args.x)
     w = P.parse_perm(args.w)
     poly = K.kl_polynomial(x, w)
@@ -116,11 +122,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_identity(args) -> int:
-    if args.cache_file:
-        try:
-            K.load_cache(args.cache_file)
-        except FileNotFoundError:
-            pass
+    _load_cache_file(args.cache_file)
     sigma = P.parse_perm(args.sigma)
     sigma0 = P.parse_perm(args.sigma0)
     if args.which == "klidnt":

@@ -80,24 +80,7 @@ def birkhoff_decompositions(M: CosetMatrix) -> list[tuple[Perm, ...]]:
     (exhaustive backtracking, peeling one permutation at a time).
     """
     k = len(M.entries)
-
-    def perms_below(rows: list[list[int]]) -> Iterator[Perm]:
-        word = [0] * k
-        used = [False] * k
-
-        def rec(i: int) -> Iterator[Perm]:
-            if i == k:
-                yield tuple(word)
-                return
-            for j in range(k):
-                if not used[j] and rows[i][j] > 0:
-                    used[j] = True
-                    word[i] = j + 1
-                    yield from rec(i + 1)
-                    used[j] = False
-
-        yield from rec(0)
-
+    perms = list(itertools.permutations(range(1, k + 1)))
     out: list[tuple[Perm, ...]] = []
 
     def peel(rows: list[list[int]], depth: int, acc: list[Perm]) -> None:
@@ -105,7 +88,9 @@ def birkhoff_decompositions(M: CosetMatrix) -> list[tuple[Perm, ...]]:
             if all(v == 0 for row in rows for v in row):
                 out.append(tuple(acc))
             return
-        for s in perms_below(rows):
+        for s in perms:
+            if not all(rows[i][s[i] - 1] > 0 for i in range(k)):
+                continue
             for i in range(k):
                 rows[i][s[i] - 1] -= 1
             acc.append(s)
@@ -167,6 +152,12 @@ def _closed_form(M: CosetMatrix) -> int:
 
 
 _buckets_cache: dict[tuple[int, int], list[tuple[CosetMatrix, int, list[int]]]] = {}
+_sums_cache: dict[tuple[int, int], tuple[dict, dict]] = {}
+
+
+def _block_word(n: int, m: int) -> list[int]:
+    """A reduced word of the longest element of H: s_0..s_{m-2} .. s_0 in each block."""
+    return [b + i for b in range(0, n, m) for j in range(m - 1, 0, -1) for i in range(j)]
 
 
 def _group_buckets(n: int, m: int) -> list[tuple[CosetMatrix, int, list[int]]]:
@@ -176,18 +167,45 @@ def _group_buckets(n: int, m: int) -> list[tuple[CosetMatrix, int, list[int]]]:
     """
     got = _buckets_cache.get((n, m))
     if got is None:
-        # M depends on w only through the sequence of its values' blocks
-        # (bytes, by translate): group by that first, then M once per group
-        block = bytes([0, *(v // m for v in range(n))]).ljust(256, b"\0")
-        by_blocks: dict[bytes, list[int]] = {}
-        for idx, key in enumerate(map(bytes.translate, map(bytes, P.all_perms(n)), itertools.repeat(block))):
-            by_blocks.setdefault(key, []).append(idx)
-        members: dict[CosetMatrix, list[int]] = {}
-        for ws in by_blocks.values():
-            members.setdefault(coset_matrix(P.from_lehmer(n, ws[0]), m), []).extend(ws)
-        got = [(M, P.lehmer_index(min_rep(M)), sorted(ws)) for M, ws in sorted(members.items())]
+        # grow each HwH from one member: the subwords of a reduced word of H's
+        # longest element multiply out to all of H, on the right, then the left
+        ctx = K._ctx(n)
+        steps = [table[i] for table in (ctx.rmul, ctx.lmul) for i in _block_word(n, m)]
+        todo, members = set(range(ctx.N)), []
+        while todo:
+            coset = {w := todo.pop()}
+            for step in steps:
+                coset |= set(map(step.__getitem__, coset))
+            todo -= coset
+            members.append((coset_matrix(P.from_lehmer(n, w), m), sorted(coset)))
+        got = [(M, P.lehmer_index(min_rep(M)), ws) for M, ws in sorted(members)]
         _buckets_cache[(n, m)] = got
     return got
+
+
+def _signed_sums(ctx: K._SymContext, st_idx: int):
+    """
+    signed_sum(key, members): the sum of (-1)^l(w) P_{w,st}(1) over the members
+    w <= st, memoized by key (M, or (m, spt) for the coset spt.H).  A sum reads
+    only the column ``ctx.col(st)`` gives, not sigma0, so the memo is kept with
+    that column object and started afresh once it is replaced (``load_cache``).
+    """
+    entries = ctx.col(st_idx)[2]
+    memo = _sums_cache.get((ctx.n, st_idx))
+    if memo is None or memo[0] is not entries:
+        memo = _sums_cache[(ctx.n, st_idx)] = (entries, {})
+    sums = memo[1]
+
+    def signed_sum(key, members) -> int:
+        got = sums.get(key)
+        if got is None:
+            # the column of st holds every P_{w,st} != 1 with w <= st, so
+            # ctx.values on the members below st gives each P_{w,st}(1) exactly
+            ws = ctx.below(st_idx, members)
+            got = sums[key] = sum([-val if ctx.length[w] % 2 else val for w, val in zip(ws, ctx.values(st_idx, ws))])
+        return got
+
+    return signed_sum
 
 
 # ---------------------------------------------------------------------------
@@ -263,34 +281,30 @@ def _require_hypotheses(sigma0: Perm, sigma: Perm) -> None:
 
 
 def _coset_sums(sigma0: Perm, sigma: Perm, m: int) -> list[CosetCheck]:
-    # the column of st holds every P_{w,st} != 1 with w <= st, so ctx.values
-    # on the members below st gives each P_{w,st}(1) exactly
-    k = len(sigma)
-    n = m * k
+    n = m * len(sigma)
     ctx = K._ctx(n)
     st_idx = P.lehmer_index(P.inflate(sigma, m))
     st0_idx = P.lehmer_index(P.inflate(sigma0, m))
-    length = ctx.length
-    checks = []
-    for M, rep_idx, members in _group_buckets(n, m):
-        if not (ctx.leq(st0_idx, rep_idx) and ctx.leq(rep_idx, st_idx)):
-            continue
-        ws = ctx.below(st_idx, members)
-        lhs = sum([-val if length[w] % 2 else val for w, val in zip(ws, ctx.values(st_idx, ws))])
-        checks.append(CosetCheck(M, lhs, _closed_form(M)))
-    return checks
+    buckets = _group_buckets(n, m)
+    reps_below = set(ctx.below(st_idx, [rep_idx for _, rep_idx, _ in buckets]))
+    signed_sum = _signed_sums(ctx, st_idx)
+    return [
+        CosetCheck(M, signed_sum(M, members), _closed_form(M))
+        for M, rep_idx, members in buckets
+        if rep_idx in reps_below and ctx.leq(st0_idx, rep_idx)
+    ]
 
 
 def _parabolic_sums(sigma0: Perm, sigma: Perm, m: int) -> list[ParityCheck]:
     # spt is the shortest element of spt.H, H the block subgroup: grow the coset
-    # from spt along a reduced word of H's longest element (s_0..s_{m-2} .. s_0
-    # in each block), as _lower_set grows [e, w]; x has sign (-1)^(l(x) - l(spt))
+    # from spt along a reduced word of H's longest element, as _lower_set grows
+    # [e, w]; x has sign (-1)^(l(x) - l(spt))
     k = len(sigma)
     n = m * k
     ctx = K._ctx(n)
     st_idx = P.lehmer_index(P.inflate(sigma, m))
-    length = ctx.length
-    word = [ctx.rmul[b + i] for b in range(0, n, m) for j in range(m - 1, 0, -1) for i in range(j)]
+    word = [ctx.rmul[i] for i in _block_word(n, m)]
+    signed_sum = _signed_sums(ctx, st_idx)
     out = []
     for sp in P.all_perms(k):
         if not (P.bruhat_leq(sigma0, sp) and P.bruhat_leq(sp, sigma)):
@@ -299,10 +313,8 @@ def _parabolic_sums(sigma0: Perm, sigma: Perm, m: int) -> list[ParityCheck]:
         coset = {spt_idx}
         for rmul_s in word:
             coset |= set(map(rmul_s.__getitem__, coset))
-        ws = ctx.below(st_idx, coset)
-        lspt = length[spt_idx]
-        total = sum([-val if (length[w] - lspt) % 2 else val for w, val in zip(ws, ctx.values(st_idx, ws))])
-        out.append(ParityCheck(sp, total))
+        total = signed_sum((m, spt_idx), coset)
+        out.append(ParityCheck(sp, -total if ctx.length[spt_idx] % 2 else total))
     return out
 
 

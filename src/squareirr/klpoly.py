@@ -402,8 +402,10 @@ class _SymContext:
         Column of the canonical w from that of v = ws, s the first right
         descent of w, in one unordered pass over [e, v]: by lifting, the
         x <= w with xs < x are the ys > y for y in [e, v], and P_{y,w} =
-        P_{ys,w}, so only x is stored.  Returns the column and [e, v], or None
-        for a column without entries.  When v is canonical and this call built
+        P_{ys,w}, so only x is stored.  The mu terms are subtracted only for x
+        in [e, v]: each term's z lies below v, so an x outside [e, v] lies
+        below none of them.  Returns the column and [e, v], or None for a
+        column without entries.  When v is canonical and this call built
         its column, [e, v] is grown by one step from the set that build
         returned, instead of being peeled and grown again (``_lower_set``).
         """
@@ -445,7 +447,7 @@ class _SymContext:
                 k = conj[k]
             ks = liftv[k]
             acc = colv.get(ks if ks > k else k, _PONE)
-            if x in below:
+            if x in below:  # an x outside [e, v] lies below no z of the terms
                 k = x
                 if tv & 1:
                     k = inv[k]
@@ -453,18 +455,18 @@ class _SymContext:
                     k = conj[k]
                 ks = liftv[k]
                 acc += colv.get(ks if ks > k else k, _PONE) << _SHIFT
-            rx = rank[x] | HI
-            for shifted_mu, lz, rz, tz, liftz, colz in terms:
-                if lz < lx:
-                    break  # terms sorted by decreasing length
-                if (rx - rz) & HI == HI:  # x <= z; with lz == lx only x == z passes
-                    k = x
-                    if tz & 1:
-                        k = inv[k]
-                    if tz & 2:
-                        k = conj[k]
-                    ks = liftz[k]
-                    acc -= shifted_mu * colz.get(ks if ks > k else k, _PONE)
+                rx = rank[x] | HI
+                for shifted_mu, lz, rz, tz, liftz, colz in terms:
+                    if lz < lx:
+                        break  # terms sorted by decreasing length
+                    if (rx - rz) & HI == HI:  # x <= z; with lz == lx only x == z passes
+                        k = x
+                        if tz & 1:
+                            k = inv[k]
+                        if tz & 2:
+                            k = conj[k]
+                        ks = liftz[k]
+                        acc -= shifted_mu * colz.get(ks if ks > k else k, _PONE)
             if acc != _PONE:
                 # constant term 1 and bounded degree; violations mean limb
                 # corruption in the packed arithmetic
@@ -606,10 +608,8 @@ class _OracleContext:
         lmul_s = self.lmul[s]
         for y, poly in vec.items():
             sy = lmul_s[y]
-            if self.length[sy] > self.length[y]:
-                _lau_add(out.setdefault(sy, {}), poly)
-            else:
-                _lau_add(out.setdefault(sy, {}), poly)
+            _lau_add(out.setdefault(sy, {}), poly)
+            if self.length[sy] < self.length[y]:
                 _lau_add(out.setdefault(y, {}), _lau_mul(poly, {1: 1, -1: -1}))
         return {y: p for y, p in out.items() if p}
 

@@ -69,20 +69,6 @@ def sign(w: Perm) -> int:
     return -1 if length(w) % 2 else 1
 
 
-def rank_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:
-    """r_w(i, j) = #{u <= i : w(u) <= j}, as a k x k tuple of tuples."""
-    k = len(w)
-    rows = []
-    prev = (0,) * k
-    for i in range(k):
-        row = list(prev)
-        for j in range(w[i] - 1, k):
-            row[j] += 1
-        prev = tuple(row)
-        rows.append(prev)
-    return tuple(rows)
-
-
 def bruhat_leq(t: Perm, s: Perm) -> bool:
     """
     True iff t <= s in Bruhat order (r_s <= r_t entrywise).  Keeps one row

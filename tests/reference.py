@@ -12,7 +12,21 @@ from typing import Iterator
 
 from squareirr import perm as P
 from squareirr.klidentity import CosetMatrix
-from squareirr.perm import Perm, rank_matrix, sn
+from squareirr.perm import Perm, sn
+
+
+def rank_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:
+    """r_w(i, j) = #{u <= i : w(u) <= j}, as a k x k tuple of tuples."""
+    k = len(w)
+    rows = []
+    prev = (0,) * k
+    for i in range(k):
+        row = list(prev)
+        for j in range(w[i] - 1, k):
+            row[j] += 1
+        prev = tuple(row)
+        rows.append(prev)
+    return tuple(rows)
 
 
 def longest_element(k: int) -> Perm:

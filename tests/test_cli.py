@@ -357,3 +357,22 @@ def test_library_runs_without_numpy():
         [sys.executable, "-c", _WITHOUT_NUMPY], env=_src_env(), capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kl", "1324", "3412", "--cache-file", "{dir}"],
+        ["identity", "klidnt", "--sigma", "12", "--sigma0", "12", "--cache-file", "{dir}/missing/x.bin"],
+    ],
+)
+def test_unusable_cache_file_path_exits_2_before_any_work(tmp_path, argv):
+    # a directory, or a file in a missing directory, is refused before the
+    # command runs: no result is printed and no traceback follows
+    argv = [a.format(dir=tmp_path) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "squareirr.cli", *argv], env=_src_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and f"--cache-file {argv[-1]}" in proc.stderr
+    assert not (tmp_path / "missing").exists()

@@ -1,5 +1,10 @@
 import itertools
+import json
+import os
 import random
+import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -27,9 +32,9 @@ def tight_predicate(sigma0: Perm, sigma: Perm, tau: Perm) -> bool:
     If tau matches the rank function of sigma wherever sigma0 does, then
     tau <= sigma; this function evaluates the implication for one tau.
     """
-    r0 = P.rank_matrix(sigma0)
-    rs = P.rank_matrix(sigma)
-    rt = P.rank_matrix(tau)
+    r0 = R.rank_matrix(sigma0)
+    rs = R.rank_matrix(sigma)
+    rt = R.rank_matrix(tau)
     k = len(sigma)
     agrees = all(
         rt[i][j] == rs[i][j]
@@ -257,9 +262,9 @@ def test_double_coset_order_consistency(k):
                 st = P.inflate(sigma, 2)
                 by_minrep = double_coset_leq(M, KI.coset_matrix(st, 2))
                 r1, r2, rs = (
-                    P.rank_matrix(s1),
-                    P.rank_matrix(s2),
-                    P.rank_matrix(sigma),
+                    R.rank_matrix(s1),
+                    R.rank_matrix(s2),
+                    R.rank_matrix(sigma),
                 )
                 by_ranks = all(
                     r1[i][j] + r2[i][j] >= 2 * rs[i][j]
@@ -299,7 +304,7 @@ def test_dblsame_property_k4():
 
     k = 4
     perms = list(P.all_perms(k))
-    ranks = {w: np.array(P.rank_matrix(w), dtype=np.int16) for w in perms}
+    ranks = {w: np.array(R.rank_matrix(w), dtype=np.int16) for w in perms}
     rng = random.Random(3)
     cross_checked = 0
     for sigma in perms:
@@ -514,3 +519,67 @@ def test_group_buckets_match_per_permutation_grouping(n, m, monkeypatch):
         members.setdefault(KI.coset_matrix(w, m), []).append(idx)
     want = [(M, P.lehmer_index(KI.min_rep(M)), ws) for M, ws in sorted(members.items())]
     assert KI._group_buckets(n, m) == want
+
+
+def _fresh_stores(monkeypatch):
+    """Empty the bucket cache, the signed-sum memo and the S_n contexts."""
+    monkeypatch.setattr(KI, "_buckets_cache", {})
+    monkeypatch.setattr(KI, "_sums_cache", {})
+    monkeypatch.setattr(K, "_contexts", {})
+
+
+def test_signed_sum_memo_does_not_depend_on_the_order_of_pairs(monkeypatch):
+    pairs = _identity_pairs((3, 4))
+    _fresh_stores(monkeypatch)
+    forward = {pair: KI.verify_klidnt(*pair).to_json() for pair in pairs}
+    _fresh_stores(monkeypatch)
+    backward = {pair: KI.verify_klidnt(*pair).to_json() for pair in reversed(pairs)}
+    assert backward == forward
+    # where the identity holds every coset sum is its closed form, whatever st
+    # is; on all comparable pairs a sum kept for the wrong st would show
+    pairs = [(s0, s) for k in (3, 4) for s in P.all_perms(k) for s0 in P.all_perms(k) if P.bruhat_leq(s0, s)]
+    _fresh_stores(monkeypatch)
+    forward = {pair: (KI._coset_sums(*pair, 2), KI._parabolic_sums(*pair, 2)) for pair in pairs}
+    _fresh_stores(monkeypatch)
+    backward = {pair: (KI._coset_sums(*pair, 2), KI._parabolic_sums(*pair, 2)) for pair in reversed(pairs)}
+    assert backward == forward
+
+
+_VERIFY_AFTER_LOAD = """
+import json, sys
+from squareirr import klidentity, klpoly
+klpoly.load_cache(sys.argv[1])
+print(json.dumps(klidentity.verify_klidnt((1, 2, 3, 4), (2, 3, 1, 4)).to_json()))
+"""
+
+
+def test_signed_sum_memo_follows_a_column_replaced_by_load_cache(tmp_path, monkeypatch):
+    # the memo holds the sums of st's column; a file with that column, one
+    # entry raised by q, replaces it, and the report must read the new column
+    # as a fresh process that loads the file first does
+    _fresh_stores(monkeypatch)
+    s0, s = (1, 2, 3, 4), (2, 3, 1, 4)
+    before = KI.verify_klidnt(s0, s).to_json()
+    ctx = K._ctx(8)
+    wc, _ = ctx._canon(P.lehmer_index(P.inflate(s, 2)))
+    entries = sorted(ctx.col(wc)[2].items())
+    entries[0] = (entries[0][0], entries[0][1] + (1 << 16))
+    record = struct.pack("<BII", 8, wc, len(entries))
+    for x, packed in entries:
+        blob = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+        record += struct.pack("<IH", x, len(blob)) + blob
+    path = tmp_path / "kl.bin"
+    path.write_bytes(b"SQKL" + struct.pack("<H", 1) + record)
+    assert K.load_cache(os.fspath(path)) == 1
+    after = KI.verify_klidnt(s0, s).to_json()
+    assert after != before
+    src = os.path.dirname(os.path.dirname(KI.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _VERIFY_AFTER_LOAD, os.fspath(path)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == after

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -573,3 +574,21 @@ def test_cache_record_beyond_degree_bound_or_group_is_rejected(tmp_path, monkeyp
         with pytest.raises(ValueError, match="corrupt KL cache record"):
             K.load_cache(path)
     assert K._contexts == {}
+
+
+#: sha256 over every canonical column of S_7 (its index, its build descent and
+#: its sorted entries), as the recursion built them before the mu terms were
+#: restricted to x in [e, ws]
+S7_TABLE_SHA256 = "ddd3136f6e96a043fabab788b4ffcbf0373b9b481a0d8f5aaa76288fa7d0f57d"
+
+
+def test_s7_column_table_digest():
+    ctx = K._SymContext(7)  # a fresh context, so no loaded or patched column is read
+    digest = hashlib.sha256()
+    for w in range(ctx.N):
+        if ctx._canon(w) != (w, 0):
+            continue
+        _, lift, entries = ctx.col(w)
+        s = ctx.rmul.index(lift) if entries else -1
+        digest.update(f"{w}:{s}:{sorted(entries.items())};".encode())
+    assert digest.hexdigest() == S7_TABLE_SHA256

@@ -297,8 +297,8 @@ def _rank_matrix_leq(t, s):
     """Reference Bruhat test: build both tuple rank matrices, compare all cells."""
     if len(t) != len(s):
         raise ValueError("permutations live in different symmetric groups")
-    rt = P.rank_matrix(t)
-    rs = P.rank_matrix(s)
+    rt = R.rank_matrix(t)
+    rs = R.rank_matrix(s)
     return all(rs[i][j] <= rt[i][j] for i in range(len(t)) for j in range(len(t)))
 
 
